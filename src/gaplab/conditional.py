@@ -6,6 +6,10 @@ of the conditioning factor Y, outcome y occurs with probability
 product <y|Psi>, and the conditional density matrix of S additionally traces
 out the unobserved factor s.  The conditioning and traced factors are
 addressed by label, so S itself may be a composite of several factors.
+
+``condition_on_random_basis`` is the batched Monte Carlo form: it conditions
+a stack of states, given as matrices, on independent Haar-random bases of
+the conditioning factor.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .hilbert import (
     StateVector,
     partial_inner_product,
 )
-from .ensembles import _rng_of
+from .ensembles import _rng_of, sample_haar_frames
 
 ZERO_WEIGHT = 1e-14
 
@@ -162,3 +166,51 @@ def conditional_dm_from_s_average(
     entries = acc / acc.trace().real
     entries = 0.5 * (entries + entries.conj().T)
     return DensityMatrix(entries, kept_fact, check_psd=False)
+
+
+def condition_on_random_basis(stream_or_rng, a: np.ndarray) -> np.ndarray:
+    """Condition a stack of states on independent Haar-random bases.
+
+    ``a`` is an (n, keep, cond) stack with keep <= cond: row k of ``a[i]``
+    holds the amplitudes of kept index k over the conditioning factor.  The
+    result has the same shape; column y of ``result[i]`` is the unnormalized
+    conditional <u_y|Psi_i>, and the whole matrix has the law of
+    ``a[i] @ conj(U)`` for a Haar unitary U, drawn independently per i.
+
+    Only keep directions of the conditioning factor ever meet the state.
+    Write A = L Q with orthonormal rows in Q; then A conj(U) = L (Q conj(U)),
+    and Q conj(U) is distributed like F^T for a Haar keep-frame F of
+    C^cond.  L = R^H comes from the reduced QR of A^H, so each state costs
+    one cond x keep QR instead of a cond x cond Haar unitary, and
+    result @ result^H = A A^H holds exactly, rank-deficient A included.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 3 or a.shape[1] > a.shape[2]:
+        raise ValueError(
+            f"expected an (n, keep, cond) stack with keep <= cond, got {a.shape}"
+        )
+    n, keep, cond = a.shape
+    r = np.linalg.qr(a.conj().transpose(0, 2, 1), mode="r")  # (n, keep, keep)
+    frames = sample_haar_frames(stream_or_rng, cond, keep, n)
+    return r.conj().transpose(0, 2, 1) @ frames.transpose(0, 2, 1)
+
+
+def outcome_weights(c: np.ndarray) -> np.ndarray:
+    """Born weights ||column y||^2 of (..., keep, cond) conditionals, with
+    weights below the zero cutoff set to exactly zero."""
+    w = np.sum(c.real**2 + c.imag**2, axis=-2)
+    return np.where(w < ZERO_WEIGHT, 0.0, w)
+
+
+def draw_outcomes(stream_or_rng, weights: np.ndarray) -> np.ndarray:
+    """One outcome per row of an (n, cond) weight array, drawn with
+    probability proportional to the weights.
+
+    Uses one uniform u per row and returns #{y : cdf_y <= u}, the same
+    inverse-CDF rule ``Generator.choice`` applies to a single row.
+    """
+    rng = _rng_of(stream_or_rng)
+    cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random(weights.shape[0])
+    return np.count_nonzero(cdf <= u[:, None], axis=1)

@@ -394,15 +394,29 @@ def rejection_oracle_ga(
     )
 
 
-def sample_haar_unitary(stream_or_rng, dim: int) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Ginibre matrix with the
-    R diagonal's phases absorbed so the factorization is unique."""
+def sample_haar_frames(stream_or_rng, dim: int, k: int, count: int) -> np.ndarray:
+    """A (count, dim, k) stack of Haar-random k-frames of C^dim.
+
+    Each frame holds k orthonormal columns distributed like the first k
+    columns of a Haar unitary: the Q factor of a dim x k complex Ginibre
+    matrix, with the phases of R's diagonal absorbed so the factorization
+    is unique (Mezzadri, arXiv:math-ph/0609050).  The real parts of all
+    entries are drawn before the imaginary parts.
+    """
+    if not 1 <= k <= dim:
+        raise ValueError(f"frame size {k} must lie in [1, {dim}]")
     rng = _rng_of(stream_or_rng)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    shape = (count, dim, k)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     z /= math.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def sample_haar_unitary(stream_or_rng, dim: int) -> np.ndarray:
+    """Haar-distributed unitary: a Haar frame with as many columns as rows."""
+    return sample_haar_frames(stream_or_rng, dim, dim, 1)[0]
 
 
 def sample_haar_onb(stream_or_rng, dim: int, factor_label: str) -> OrthonormalBasis:

@@ -28,7 +28,6 @@ def run_trials(
     if parallelism <= 1:
         rows = [trial_fn(t) for t in range(n_trials)]
     else:
-        chunk = max(1, n_trials // (parallelism * 8))
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            rows = list(pool.map(trial_fn, range(n_trials), chunksize=chunk))
+            rows = list(pool.map(trial_fn, range(n_trials)))
     return np.asarray(rows, dtype=np.float64)

@@ -29,7 +29,7 @@ import numpy as np
 import yaml
 
 from . import kernels
-from .experiments import EXPERIMENTS, ExperimentReport
+from .experiments import EXPERIMENTS, ConfigError, ExperimentReport
 
 SCHEMA_VERSION = "1"
 DEFAULT_OUT_DIR = "runs"
@@ -104,10 +104,6 @@ REPORT_SCHEMA = {
         "volatile": {"type": "object"},
     },
 }
-
-
-class ConfigError(ValueError):
-    """Raised for malformed run configurations; maps to exit code 2."""
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from gaplab.conditional import (
     ConditionalOutcome,
+    condition_on_random_basis,
     conditional_density_matrix,
     conditional_dm_from_s_average,
     conditional_wave_function,
+    draw_outcomes,
     outcome_distribution,
+    outcome_weights,
     sample_conditional_wf,
 )
-from gaplab.ensembles import RandomStream, sample_haar_onb
+from gaplab.ensembles import RandomStream, sample_haar_frames, sample_haar_onb
 from gaplab.hilbert import (
     OrthonormalBasis,
     SpaceFactorization,
@@ -225,3 +229,98 @@ class TestConditionalOutcome:
         not_norm = StateVector(np.array([2.0, 0.0]), SpaceFactorization(("S",), (2,)))
         with pytest.raises(ValueError, match="normalized"):
             ConditionalOutcome(0, 0.5, not_norm)
+
+
+def one_conditional_each(c, rng):
+    """Normalized conditional of one Born-drawn outcome per stacked state."""
+    ys = draw_outcomes(rng, outcome_weights(c))
+    v = c[np.arange(c.shape[0]), :, ys]
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def law_pvalues(a, b):
+    """KS p-values comparing two samples of 2-dim conditionals through
+    |v0|^2 and, after rotating v0 real, arg v1, Re v1 and Im v1."""
+
+    def features(v):
+        v1 = v[:, 1] * np.exp(-1j * np.angle(v[:, 0]))
+        return (np.abs(v[:, 0]) ** 2, np.angle(v1), v1.real, v1.imag)
+
+    return [
+        sps.ks_2samp(fa, fb, method="asymp").pvalue
+        for fa, fb in zip(features(a), features(b))
+    ]
+
+
+class TestConditionOnRandomBasis:
+    def test_gram_identity_exact(self):
+        # c c^dagger = A A^dagger for every draw, rank-deficient A included.
+        rng = np.random.default_rng(60)
+        full = rng.standard_normal((4, 3, 7)) + 1j * rng.standard_normal((4, 3, 7))
+        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        y = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        rank_one = np.outer(x, y)[None]
+        zero_row = full[:1].copy()
+        zero_row[0, 1] = 0.0
+        a = np.concatenate([full, rank_one, zero_row])
+        c = condition_on_random_basis(RandomStream(61), a)
+        assert c.shape == a.shape
+        gram_c = c @ c.conj().transpose(0, 2, 1)
+        gram_a = a @ a.conj().transpose(0, 2, 1)
+        assert np.max(np.abs(gram_c - gram_a)) < 1e-12
+
+    def test_rejects_wide_kept_side(self):
+        with pytest.raises(ValueError, match="keep <= cond"):
+            condition_on_random_basis(RandomStream(62), np.ones((1, 3, 2)))
+
+    def test_frames_have_orthonormal_columns(self):
+        frames = sample_haar_frames(RandomStream(63), 9, 3, 50)
+        assert frames.shape == (50, 9, 3)
+        overlap = frames.conj().transpose(0, 2, 1) @ frames
+        assert np.max(np.abs(overlap - np.eye(3))) < 1e-13
+
+    def test_draw_outcomes_matches_choice(self):
+        # One uniform per row, inverted exactly as Generator.choice does;
+        # zero-weight outcomes are never drawn.
+        w = np.random.default_rng(64).random((300, 6))
+        w[:, [0, 3]] = 0.0
+        gen = RandomStream(65).generator()
+        expect = [gen.choice(6, p=row / row.sum()) for row in w]
+        got = draw_outcomes(RandomStream(65), w)
+        assert np.array_equal(got, expect)
+        assert not np.any(np.isin(got, [0, 3]))
+
+    def _fixed_state(self):
+        # Unequal singular values, so a sampler that ignores A shows.
+        rng = np.random.default_rng(66)
+        q = np.linalg.qr(
+            rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+        )[0]
+        return (np.diag([0.9, 0.3]) @ q.T)[None]  # (1, keep=2, cond=8)
+
+    def test_law_matches_full_haar_conditioning(self):
+        # Independent single conditionals of one fixed state: the frame
+        # route and conditioning through full Haar unitaries agree in law.
+        n = 40_000
+        a = self._fixed_state()
+        gen = RandomStream(67).generator()
+        fast = one_conditional_each(
+            condition_on_random_basis(gen, np.repeat(a, n, axis=0)), gen
+        )
+        gen = RandomStream(68).generator()
+        u = sample_haar_frames(gen, 8, 8, n)
+        slow = one_conditional_each(a @ u.conj(), gen)
+        assert min(law_pvalues(fast, slow)) > 1e-3
+
+    def test_negative_control_without_l_fails(self):
+        # Dropping L leaves bare frame rows, which no longer depend on the
+        # state: the same law test must reject them.
+        n = 40_000
+        a = self._fixed_state()
+        gen = RandomStream(69).generator()
+        bare = sample_haar_frames(gen, 8, 2, n).transpose(0, 2, 1)
+        wrong = one_conditional_each(bare, gen)
+        gen = RandomStream(68).generator()
+        u = sample_haar_frames(gen, 8, 8, n)
+        slow = one_conditional_each(a @ u.conj(), gen)
+        assert min(law_pvalues(wrong, slow)) < 1e-3

@@ -207,6 +207,12 @@ class TestExperimentRuns:
         # per-trial table: one row per outer trial
         assert rep.trial_rows.shape[0] == SMALL_DISTRIBUTION.outer_trials
 
+    def test_gap_distribution_parallelism_invariant(self):
+        a = run_gap_distribution(SMALL_DISTRIBUTION, seed=16, parallelism=1)
+        b = run_gap_distribution(SMALL_DISTRIBUTION, seed=16, parallelism=4)
+        assert a.deterministic_payload() == b.deterministic_payload()
+        assert np.array_equal(a.trial_rows, b.trial_rows)
+
     def test_conditional_dm_concentration(self):
         rep = run_conditional_dm_concentration(SMALL_CONDITIONAL, seed=12)
         assert "probe_var_ratio[dim_s=64,probe0]" in rep.statistics

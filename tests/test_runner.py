@@ -202,6 +202,31 @@ class TestCli:
         assert code == 2
         assert "config error" in err
 
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [
+            ("conditional_dm_concentration", {"n_trials": 0}),
+            ("conditional_dm_concentration", {"probe_count": 0}),
+            ("conditional_dm_concentration", {"dim_s_values": []}),
+            ("conditional_dm_concentration", {"dim_y": -3}),
+            ("conditional_dm_concentration", {"s_model": "foo"}),
+            ("conditional_dm_concentration", {"dim_s_values": [64, "x"]}),
+            ("gap_distribution", {"dim_system": 600, "bath_dim": 512}),
+            ("gap_definition_equivalence", {"alpha": 1.5}),
+            ("unitary_covariance", {"rho_name": "nope"}),
+            ("canonical_typicality", {"center_fraction": 2.0}),
+            ("gaussian_surrogate", {"system_probs": [0.5, 0.6]}),
+        ],
+    )
+    def test_validate_rejects_out_of_range(
+        self, tmp_path, capsys, experiment, overrides
+    ):
+        path = write_yaml(tmp_path, {"experiment": experiment, "config": overrides})
+        code, out, err = self.run_main(["validate", "--config", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert "config error" in err
+
     def test_run_writes_three_files(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(OUT_DIR_ENV_VAR, raising=False)
         cfg = write_yaml(tmp_path, TINY_SURROGATE)
