@@ -114,6 +114,26 @@ def _eigensystem(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     return p, vecs
 
 
+def complex_normals(rng: np.random.Generator, shape, scale=None) -> np.ndarray:
+    """A complex128 array whose real and imaginary parts are standard normals.
+
+    All real parts are drawn before all imaginary parts, each block in C
+    order, through one float buffer refilled in place.  The result and the
+    generator state after the call equal those of
+    ``(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale``
+    bit for bit; ``scale`` broadcasts against ``shape`` and defaults to 1.
+    """
+    out = np.empty(shape, dtype=np.complex128)
+    buf = np.empty(out.shape)
+    for part in (out.real, out.imag):
+        rng.standard_normal(out=buf)
+        if scale is None:
+            part[...] = buf
+        else:
+            np.multiply(buf, scale, out=part)
+    return out
+
+
 def sample_complex_gaussian(
     stream_or_rng, variances, size: int | None = None
 ) -> np.ndarray:
@@ -124,8 +144,7 @@ def sample_complex_gaussian(
     if np.any(var < 0):
         raise ValueError("variances must be nonnegative")
     shape = (var.shape[0],) if size is None else (size, var.shape[0])
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return z * np.sqrt(var / 2.0)
+    return complex_normals(rng, shape, np.sqrt(var / 2.0))
 
 
 def _rng_of(stream_or_rng) -> np.random.Generator:
@@ -151,9 +170,7 @@ def sample_uniform_sphere(stream_or_rng, space, size: int | None = None):
     fact = _space_of(space)
     rng = _rng_of(stream_or_rng)
     n = size if size is not None else 1
-    z = rng.standard_normal((n, fact.total_dim)) + 1j * rng.standard_normal(
-        (n, fact.total_dim)
-    )
+    z = complex_normals(rng, (n, fact.total_dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     if size is None:
         return StateVector(z[0], fact, normalized=True)
@@ -241,7 +258,7 @@ def _accept_biased_sphere(
     while count < n:
         need = n - count
         chunk = max(256, int(1.6 * need / expected_rate) + 16)
-        z = rng.standard_normal((chunk, dim)) + 1j * rng.standard_normal((chunk, dim))
+        z = complex_normals(rng, (chunk, dim))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         w = weights_of(z)
         if np.any(w > bound * (1 + 1e-9)):
@@ -406,9 +423,7 @@ def sample_haar_frames(stream_or_rng, dim: int, k: int, count: int) -> np.ndarra
     if not 1 <= k <= dim:
         raise ValueError(f"frame size {k} must lie in [1, {dim}]")
     rng = _rng_of(stream_or_rng)
-    shape = (count, dim, k)
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    z /= math.sqrt(2.0)
+    z = complex_normals(rng, (count, dim, k), 1.0 / math.sqrt(2.0))
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]

@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from . import kernels
 from .conditional import (
@@ -37,9 +36,9 @@ from .ensembles import (
     GAP_SAMPLERS,
     GapSampleBatch,
     RandomStream,
+    complex_normals,
     empirical_covariance,
     rejection_oracle_ga,
-    sample_complex_gaussian,
     sample_ga,
     sample_gap,
     sample_haar_unitary,
@@ -247,7 +246,11 @@ def probe_marginals(vectors: np.ndarray, probes: np.ndarray) -> np.ndarray:
 
 
 def ks_pvalue(a: np.ndarray, b: np.ndarray) -> float:
-    return float(sps.ks_2samp(a, b, method="asymp").pvalue)
+    # scipy.stats is imported where it is used: it is most of the import
+    # time of the package, and some experiments never need it.
+    from scipy import stats
+
+    return float(stats.ks_2samp(a, b, method="asymp").pvalue)
 
 
 def estimate_density_matrix(samples, factorization=None) -> DensityMatrix:
@@ -422,8 +425,8 @@ def run_gap_definition_equivalence(
 
         for m_idx, tag in enumerate(method_names):
             first = marg[tag][0]
-            for s_idx in range(first.shape[0]):
-                rows.append((r_idx, m_idx, s_idx, first[s_idx]))
+            index = np.full((first.size, 2), (r_idx, m_idx), dtype=np.float64)
+            rows.append(np.column_stack([index, np.arange(first.size), first]))
 
     report = ExperimentReport(
         experiment="gap_definition_equivalence",
@@ -436,7 +439,7 @@ def run_gap_definition_equivalence(
         predictions=predictions,
         checks=tuple(checks),
         trial_columns=("rho_index", "method_index", "sample_index", "probe0_marginal"),
-        trial_rows=np.asarray(rows, dtype=np.float64),
+        trial_rows=np.concatenate(rows, axis=0),
         wall_time_s=time.perf_counter() - t0,
     )
     return report
@@ -567,6 +570,16 @@ class CanonicalTypicalityConfig:
         _at_least(self, 2, "scaling_factor")
 
 
+def _require_shell_dim(shell, floor: int) -> None:
+    """A shell below the configured floor is a configuration error: the
+    config asks for more levels than its spectra put in the window."""
+    if shell.shell_dim < floor:
+        raise ConfigError(
+            f"shell holds {shell.shell_dim} levels, below the configured "
+            f"floor min_shell_dim={floor}"
+        )
+
+
 def _shell_pipeline(
     config: CanonicalTypicalityConfig,
     seed: int,
@@ -588,11 +601,7 @@ def _shell_pipeline(
     ev = h.eigenvalues
     center = ev[0] + config.center_fraction * (ev[-1] - ev[0])
     shell = energy_shell(h, center - 0.5 * config.shell_width, config.shell_width)
-    if shell.shell_dim < config.min_shell_dim:
-        raise ValueError(
-            f"shell holds {shell.shell_dim} levels, below the configured "
-            f"floor {config.min_shell_dim}"
-        )
+    _require_shell_dim(shell, config.min_shell_dim)
     beta = match_beta(h, shell.midpoint_energy)
     rho_s = canonical_density_matrix(h_s, beta)
     states = sample_shell_state(
@@ -787,11 +796,7 @@ def run_gap_distribution(
     ev = h.eigenvalues
     center = ev[0] + config.center_fraction * (ev[-1] - ev[0])
     shell = energy_shell(h, center - 0.5 * config.shell_width, config.shell_width)
-    if shell.shell_dim < config.min_shell_dim:
-        raise ValueError(
-            f"shell holds {shell.shell_dim} levels, below the configured "
-            f"floor {config.min_shell_dim}"
-        )
+    _require_shell_dim(shell, config.min_shell_dim)
     beta = match_beta(h, shell.midpoint_energy)
     rho_target = canonical_density_matrix(h_s, beta)
     probes = fixed_probes(d_s, config.probe_count)
@@ -806,7 +811,7 @@ def run_gap_distribution(
     def trial(t: int) -> list[float]:
         rng = RandomStream(seed, t).generator()
         k = shell.shell_dim
-        z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        z = complex_normals(rng, k)
         z /= np.linalg.norm(z)
         if flat is not None:
             psi = np.zeros(h.dim, dtype=np.complex128)
@@ -995,11 +1000,7 @@ def run_conditional_dm_concentration(
         shell = energy_shell(
             h, center - 0.5 * config.shell_width, config.shell_width
         )
-        if shell.shell_dim < config.min_shell_dim:
-            raise ValueError(
-                f"shell holds {shell.shell_dim} levels, below the configured "
-                f"floor {config.min_shell_dim}"
-            )
+        _require_shell_dim(shell, config.min_shell_dim)
         beta = match_beta(h, shell.midpoint_energy)
         rho_target = canonical_density_matrix(h_sys, beta)
         target = rho_target.entries
@@ -1018,7 +1019,7 @@ def run_conditional_dm_concentration(
 
         def trial(t: int) -> list[float]:
             rng = RandomStream(seed, block + t).generator()
-            z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            z = complex_normals(rng, k)
             z /= np.linalg.norm(z)
             psi = np.zeros(h.dim, dtype=np.complex128)
             psi[flat] = z
@@ -1211,6 +1212,16 @@ class SurrogateConfig:
         _at_least(self, 2, "n_samples", "ad_subsample")
 
 
+def _surrogate_grams(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Reduced matrices Phi Phi^dagger of the rows Phi = diag(s) (X + iY),
+    from the real (m, d, k) stacks X and Y alone:
+    (s s^T) o (X X^T + Y Y^T + i (Y X^T - X Y^T))."""
+    xt, yt = x.transpose(0, 2, 1), y.transpose(0, 2, 1)
+    yx = y @ xt
+    grams = (x @ xt + y @ yt) + 1j * (yx - yx.transpose(0, 2, 1))
+    return grams * np.outer(s, s)
+
+
 def run_gaussian_surrogate_concentration(
     config: SurrogateConfig, seed: int, parallelism: int = 1
 ) -> ExperimentReport:
@@ -1223,7 +1234,6 @@ def run_gaussian_surrogate_concentration(
     p_sys = np.asarray(config.system_probs, dtype=float)
     d_sys = p_sys.shape[0]
     d_s = config.dim_s
-    variances = np.kron(p_sys, np.full(d_s, 1.0 / d_s))
     probes = fixed_probes(d_sys, config.probe_count)
     rho_sys = np.diag(p_sys).astype(complex)
     q_expected = np.array(
@@ -1232,22 +1242,26 @@ def run_gaussian_surrogate_concentration(
     purity_s = 1.0 / d_s
     tr_c_sq = float(np.sum(p_sys**2)) * purity_s
 
+    # Phi = s_i (X + iY) on system (x) traced, with s_i = sqrt(p_i / (2 d_s)),
+    # is never formed: per chunk all real parts are drawn, then all
+    # imaginary parts, into two reused buffers.
     rng = RandomStream(seed, AUX_STREAM_BASE).generator()
     n = config.n_samples
+    s = np.sqrt(p_sys / (2.0 * d_s))
+    x_buf = np.empty((min(config.chunk, n), d_sys, d_s))
+    y_buf = np.empty_like(x_buf)
     norm_sq = np.empty(n)
     u_vals = np.empty((config.probe_count, n))
-    done = 0
-    while done < n:
-        m = min(config.chunk, n - done)
-        phi = sample_complex_gaussian(rng, variances, size=m)
-        ns = np.sum(phi.real**2 + phi.imag**2, axis=1)
-        grams = _reduced_grams(phi, d_sys)
-        for p_idx in range(config.probe_count):
-            u_vals[p_idx, done : done + m] = kernels.quad_forms(
-                np.ascontiguousarray(grams), probes[p_idx]
-            )
-        norm_sq[done : done + m] = ns
-        done += m
+    for start in range(0, n, config.chunk):
+        m = min(config.chunk, n - start)
+        x, y = x_buf[:m], y_buf[:m]
+        rng.standard_normal(out=x)
+        rng.standard_normal(out=y)
+        grams = _surrogate_grams(x, y, s)
+        norm_sq[start : start + m] = np.einsum("nii->n", grams).real
+        u_vals[:, start : start + m] = np.einsum(
+            "pi,nij,pj->pn", probes.conj(), grams, probes
+        ).real
     # Raw probe values follow the stated mean and variance; dividing by
     # the fluctuating squared norm keeps the mean but shrinks the variance
     # by an exact probe-dependent factor, so the normalized ratio is
@@ -1303,8 +1317,10 @@ def run_gaussian_surrogate_concentration(
     # SciPy interpolates the p-value in its critical-value table and clips
     # it to [0.01, 0.15], so a statistic beyond the 1% critical value reads
     # exactly 0.01: the check passes only strictly above that level.
+    from scipy import stats
+
     sub = vals[0, : config.ad_subsample]
-    ad = sps.anderson(sub, dist="norm", method="interpolate")
+    ad = stats.anderson(sub, dist="norm", method="interpolate")
     statistics["anderson_darling_stat"] = float(ad.statistic)
     checks.append(
         _above_check(

@@ -28,7 +28,12 @@ from .hilbert import (
     SpaceFactorization,
     StateVector,
 )
-from .ensembles import RandomStream, _rng_of, sample_haar_unitary
+from .ensembles import (
+    RandomStream,
+    _rng_of,
+    complex_normals,
+    sample_haar_unitary,
+)
 
 SHELL_EDGE_TOL = 1e-12
 SPECTRUM_MODELS = ("equal_spaced", "poisson_gaps", "semicircle")
@@ -387,7 +392,7 @@ def sample_shell_state(stream_or_rng, shell: EnergyShell, size: int | None = Non
     rng = _rng_of(stream_or_rng)
     n = size if size is not None else 1
     k = shell.shell_dim
-    z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    z = complex_normals(rng, (n, k))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     h = shell.hamiltonian
     if h.has_computational_bases:

@@ -11,6 +11,7 @@ from gaplab.ensembles import (
     GapSampleBatch,
     RandomStream,
     RejectionOracleResult,
+    complex_normals,
     empirical_covariance,
     purification_of,
     rejection_oracle_ga,
@@ -82,6 +83,31 @@ class TestComplexGaussian:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             sample_complex_gaussian(RandomStream(1), [-1.0])
+
+
+class TestComplexNormals:
+    """The in-place draw reproduces the two-temporary idiom it replaces."""
+
+    @pytest.mark.parametrize(
+        "shape, scale",
+        [
+            ((7,), None),
+            ((7,), np.linspace(0.1, 2.0, 7)),
+            ((5, 3, 4), None),
+            ((5, 3, 4), np.linspace(0.1, 2.0, 4)),
+            (9, 0.5),
+        ],
+    )
+    def test_bits_and_generator_state_match(self, shape, scale):
+        rng_a = RandomStream(3).generator()
+        rng_b = RandomStream(3).generator()
+        a = rng_a.standard_normal(shape) + 1j * rng_a.standard_normal(shape)
+        if scale is not None:
+            a = a * scale
+        b = complex_normals(rng_b, shape, scale)
+        assert b.dtype == np.complex128 and b.shape == a.shape
+        assert np.array_equal(a.view(np.float64), b.view(np.float64))
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 class TestUniformSphere:

@@ -5,12 +5,15 @@ import pytest
 
 from gaplab.ensembles import (
     RandomStream,
+    complex_normals,
     sample_complex_gaussian,
     sample_gap,
     sample_uniform_sphere,
 )
 from gaplab.experiments import (
     EXPERIMENTS,
+    _reduced_grams,
+    _surrogate_grams,
     CanonicalTypicalityConfig,
     ConditionalDmConfig,
     GapDistributionConfig,
@@ -117,6 +120,25 @@ class TestGaussianNormMoments:
         norm2 = np.sum(np.abs(z) ** 2, axis=1)
         assert abs(norm2.mean() - 1.0) < 0.005
         assert abs(norm2.var() / np.sum(p**2) - 1.0) < 0.03
+
+
+class TestSurrogateGrams:
+    def test_real_part_grams_match_complex_phi(self):
+        # The same draws, once as the real stacks the surrogate uses and
+        # once as the complex Phi = diag(s) (X + iY) it used to form.
+        p_sys = np.array([0.5, 0.3, 0.2])
+        d_s = 16
+        s = np.sqrt(p_sys / (2.0 * d_s))
+        shape = (40, p_sys.size, d_s)
+        rng = RandomStream(75).generator()
+        x = rng.standard_normal(shape)
+        y = rng.standard_normal(shape)
+        phi = complex_normals(
+            RandomStream(75).generator(), shape, s[:, None]
+        ).reshape(shape[0], -1)
+        expected = _reduced_grams(phi, p_sys.size)
+        got = _surrogate_grams(x, y, s)
+        assert np.max(np.abs(got - expected)) < 1e-13
 
 
 class TestRegistry:

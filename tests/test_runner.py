@@ -2,12 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 import yaml
 
+import gaplab
 from gaplab.experiments import (
     SurrogateConfig,
     run_gaussian_surrogate_concentration,
@@ -227,6 +230,34 @@ class TestCli:
         assert out == ""
         assert "config error" in err
 
+    @pytest.mark.parametrize(
+        "experiment",
+        [
+            "gap_distribution",
+            "canonical_typicality",
+            "conditional_dm_concentration",
+        ],
+    )
+    def test_run_rejects_shell_below_floor(
+        self, tmp_path, capsys, monkeypatch, experiment
+    ):
+        # The reference gap_distribution shell holds 160 levels; no reference
+        # shell comes near this floor.  The setup phase finds that out and
+        # exits 2, before any trial runs.
+        monkeypatch.delenv(OUT_DIR_ENV_VAR, raising=False)
+        path = write_yaml(
+            tmp_path,
+            {"experiment": experiment, "config": {"min_shell_dim": 100_000}},
+        )
+        out_dir = str(tmp_path / "out")
+        code, _, err = self.run_main(
+            ["run", "--config", path, "--out-dir", out_dir], capsys
+        )
+        assert code == 2
+        assert "config error" in err
+        assert "min_shell_dim=100000" in err
+        assert not os.path.exists(out_dir)
+
     def test_run_writes_three_files(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(OUT_DIR_ENV_VAR, raising=False)
         cfg = write_yaml(tmp_path, TINY_SURROGATE)
@@ -292,6 +323,36 @@ class TestCli:
         )
         assert code in (0, 1)  # only the directory name is under test here
         assert os.path.isdir(os.path.join(out_dir, "gaussian_surrogate-seed11"))
+
+
+# The directory that holds the gaplab package this suite imported: ``src`` in
+# a checkout, ``site-packages`` for an installed copy.
+GAPLAB_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(gaplab.__file__)))
+
+
+def run_python(*args):
+    """A fresh interpreter that imports the same gaplab as this suite."""
+    return subprocess.run(
+        [sys.executable, *args],
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": GAPLAB_ROOT},
+        capture_output=True,
+        text=True,
+    )
+
+
+class TestFreshInterpreter:
+    def test_python_m_gaplab_list(self):
+        out = run_python("-m", "gaplab", "list")
+        assert out.returncode == 0, out.stderr
+        assert "gaussian_surrogate" in out.stdout
+        assert "RuntimeWarning" not in out.stderr
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        out = run_python(
+            "-c", "import sys, gaplab; print('scipy.stats' in sys.modules)"
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False"]
 
 
 class TestRerunDeterminism:
