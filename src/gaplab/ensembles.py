@@ -114,7 +114,7 @@ def _eigensystem(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     return p, vecs
 
 
-def complex_normals(rng: np.random.Generator, shape, scale=None) -> np.ndarray:
+def complex_normals(rng: np.random.Generator, shape, scale=1.0) -> np.ndarray:
     """A complex128 array whose real and imaginary parts are standard normals.
 
     All real parts are drawn before all imaginary parts, each block in C
@@ -127,10 +127,7 @@ def complex_normals(rng: np.random.Generator, shape, scale=None) -> np.ndarray:
     buf = np.empty(out.shape)
     for part in (out.real, out.imag):
         rng.standard_normal(out=buf)
-        if scale is None:
-            part[...] = buf
-        else:
-            np.multiply(buf, scale, out=part)
+        np.multiply(buf, scale, out=part)
     return out
 
 

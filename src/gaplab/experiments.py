@@ -1259,9 +1259,10 @@ def run_gaussian_surrogate_concentration(
         rng.standard_normal(out=y)
         grams = _surrogate_grams(x, y, s)
         norm_sq[start : start + m] = np.einsum("nii->n", grams).real
-        u_vals[:, start : start + m] = np.einsum(
-            "pi,nij,pj->pn", probes.conj(), grams, probes
-        ).real
+        for p_idx in range(config.probe_count):
+            u_vals[p_idx, start : start + m] = kernels.quad_forms(
+                grams, probes[p_idx]
+            )
     # Raw probe values follow the stated mean and variance; dividing by
     # the fluctuating squared norm keeps the mean but shrinks the variance
     # by an exact probe-dependent factor, so the normalized ratio is

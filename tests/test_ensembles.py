@@ -102,9 +102,11 @@ class TestComplexNormals:
         rng_a = RandomStream(3).generator()
         rng_b = RandomStream(3).generator()
         a = rng_a.standard_normal(shape) + 1j * rng_a.standard_normal(shape)
-        if scale is not None:
+        if scale is None:
+            b = complex_normals(rng_b, shape)
+        else:
             a = a * scale
-        b = complex_normals(rng_b, shape, scale)
+            b = complex_normals(rng_b, shape, scale)
         assert b.dtype == np.complex128 and b.shape == a.shape
         assert np.array_equal(a.view(np.float64), b.view(np.float64))
         assert rng_a.bit_generator.state == rng_b.bit_generator.state

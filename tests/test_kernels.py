@@ -1,10 +1,6 @@
 """Both kernel backends against brute-force loops and each other."""
 
 import importlib.util
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -105,37 +101,26 @@ SNIPPET = (
     "print(kernels.USING_NUMBA, kernels.sum_outer is kernels.sum_outer_numpy)\n"
 )
 
-# The directory that holds the gaplab package this suite imported: ``src`` in
-# a checkout, ``site-packages`` for an installed copy.
-GAPLAB_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
 
+@pytest.fixture
+def run_snippet(run_python):
+    """Import gaplab in a fresh interpreter with ``GAPLAB_NO_NUMBA=flag``;
+    the parent's own ``GAPLAB_NO_NUMBA`` cannot leak in."""
 
-def _run_snippet(flag):
-    """Import gaplab in a fresh interpreter with ``GAPLAB_NO_NUMBA=flag``.
+    def run(flag):
+        out = run_python("-c", SNIPPET, env_extra={"GAPLAB_NO_NUMBA": flag})
+        assert out.returncode == 0, out.stderr
+        return out.stdout.split()
 
-    The environment is minimal, so the parent's own ``GAPLAB_NO_NUMBA`` cannot
-    leak in; ``PYTHONPATH`` points at the same gaplab the suite imported.
-    """
-    out = subprocess.run(
-        [sys.executable, "-c", SNIPPET],
-        env={
-            "GAPLAB_NO_NUMBA": flag,
-            "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": GAPLAB_ROOT,
-        },
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    return out.stdout.split()
+    return run
 
 
 class TestBackendSelection:
-    def test_env_flag_forces_numpy(self):
-        assert _run_snippet("1") == ["False", "True"]
+    def test_env_flag_forces_numpy(self, run_snippet):
+        assert run_snippet("1") == ["False", "True"]
 
-    def test_flag_zero_means_default(self):
-        using, is_numpy = _run_snippet("0")
+    def test_flag_zero_means_default(self, run_snippet):
+        using, is_numpy = run_snippet("0")
         # With the flag unset-or-zero the numba build is taken when available.
         # Availability is asked of the import system, not of the parent's
         # kernels.HAVE_NUMBA, which the parent's own GAPLAB_NO_NUMBA can turn off.

@@ -2,15 +2,12 @@
 
 import json
 import os
-import subprocess
-import sys
 
 import jsonschema
 import numpy as np
 import pytest
 import yaml
 
-import gaplab
 from gaplab.experiments import (
     SurrogateConfig,
     run_gaussian_surrogate_concentration,
@@ -325,29 +322,14 @@ class TestCli:
         assert os.path.isdir(os.path.join(out_dir, "gaussian_surrogate-seed11"))
 
 
-# The directory that holds the gaplab package this suite imported: ``src`` in
-# a checkout, ``site-packages`` for an installed copy.
-GAPLAB_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(gaplab.__file__)))
-
-
-def run_python(*args):
-    """A fresh interpreter that imports the same gaplab as this suite."""
-    return subprocess.run(
-        [sys.executable, *args],
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": GAPLAB_ROOT},
-        capture_output=True,
-        text=True,
-    )
-
-
 class TestFreshInterpreter:
-    def test_python_m_gaplab_list(self):
+    def test_python_m_gaplab_list(self, run_python):
         out = run_python("-m", "gaplab", "list")
         assert out.returncode == 0, out.stderr
         assert "gaussian_surrogate" in out.stdout
         assert "RuntimeWarning" not in out.stderr
 
-    def test_import_leaves_scipy_stats_unloaded(self):
+    def test_import_leaves_scipy_stats_unloaded(self, run_python):
         out = run_python(
             "-c", "import sys, gaplab; print('scipy.stats' in sys.modules)"
         )
