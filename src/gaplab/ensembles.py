@@ -436,6 +436,40 @@ def sample_haar_onb(stream_or_rng, dim: int, factor_label: str) -> OrthonormalBa
     return OrthonormalBasis(sample_haar_unitary(stream_or_rng, dim), factor_label)
 
 
+def sample_reduced_grams(
+    stream_or_rng, probs, dim_traced: int, count: int
+) -> np.ndarray:
+    """A (count, d, d) stack of reduced matrices Phi Phi^dagger, d = len(probs),
+    of Gaussian matrices Phi (d x dim_traced) with independent entries,
+    E|Phi_ij|^2 = probs[i] / dim_traced: the reduced matrices of
+    G(diag(probs) (x) 1/dim_traced) on system (x) traced.
+
+    Phi Phi^dagger = D W D with D = diag(sqrt(probs / dim_traced)) and W
+    complex Wishart with dim_traced degrees of freedom.  W is drawn exactly
+    from its Bartlett factor (Goodman, Ann. Math. Statist. 34, 1963):
+    W = T T^dagger with T lower-trapezoidal, d x r, r = min(d, dim_traced),
+    a positive diagonal with |T_ii|^2 ~ Gamma(dim_traced - i) (i from 0),
+    and standard complex normals (E|z|^2 = 1) below it.  A sample costs
+    r gammas and at most d(d-1)/2 complex normals, not 2 d dim_traced
+    normals.  RNG order: all gammas, in C order over (count, r), then the
+    real parts of all entries below the diagonal, then their imaginary
+    parts.
+    """
+    rng = _rng_of(stream_or_rng)
+    p = np.asarray(probs, dtype=np.float64)
+    d = p.shape[0]
+    r = min(d, dim_traced)
+    gammas = rng.standard_gamma(dim_traced - np.arange(r), size=(count, r))
+    rows, cols = np.tril_indices(d, -1, r)
+    t = np.zeros((count, d, r), dtype=np.complex128)
+    t[:, np.arange(r), np.arange(r)] = np.sqrt(gammas)
+    t[:, rows, cols] = complex_normals(
+        rng, (count, rows.size), 1.0 / math.sqrt(2.0)
+    )
+    t *= np.sqrt(p / dim_traced)[:, None]
+    return t @ t.conj().transpose(0, 2, 1)
+
+
 def empirical_covariance(vectors: np.ndarray) -> np.ndarray:
     """Mean outer product of the rows, symmetrized against roundoff."""
     n = vectors.shape[0]

@@ -19,6 +19,7 @@ experiments, so probe marginals are comparable across runs and seeds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -42,6 +43,7 @@ from .ensembles import (
     sample_ga,
     sample_gap,
     sample_haar_unitary,
+    sample_reduced_grams,
     sample_uniform_sphere,
 )
 from .hilbert import (
@@ -53,6 +55,8 @@ from .hilbert import (
 from .parallel import run_trials
 from .thermal import (
     SPECTRUM_MODELS,
+    EnergyShell,
+    HamiltonianSpec,
     build_composite,
     canonical_density_matrix,
     energy_shell,
@@ -570,23 +574,40 @@ class CanonicalTypicalityConfig:
         _at_least(self, 2, "scaling_factor")
 
 
-def _require_shell_dim(shell, floor: int) -> None:
-    """A shell below the configured floor is a configuration error: the
-    config asks for more levels than its spectra put in the window."""
-    if shell.shell_dim < floor:
+@dataclass(frozen=True)
+class ShellSetup:
+    """Factor spectra, their composite, its energy shell and the inverse
+    temperature matched to the shell's midpoint energy."""
+
+    factors: tuple[HamiltonianSpec, ...]
+    h: HamiltonianSpec
+    shell: EnergyShell
+    beta: float
+
+
+def _shell_setup(config, factors) -> ShellSetup:
+    """Composite of the factor spectra (left to right) and its shell at the
+    config's center fraction and width.  A shell below the config's floor
+    is a configuration error: the config asks for more levels than its
+    spectra put in the window."""
+    h = functools.reduce(build_composite, factors)
+    ev = h.eigenvalues
+    center = ev[0] + config.center_fraction * (ev[-1] - ev[0])
+    shell = energy_shell(h, center - 0.5 * config.shell_width, config.shell_width)
+    if shell.shell_dim < config.min_shell_dim:
         raise ConfigError(
             f"shell holds {shell.shell_dim} levels, below the configured "
-            f"floor min_shell_dim={floor}"
+            f"floor min_shell_dim={config.min_shell_dim}"
         )
+    return ShellSetup(
+        tuple(factors), h, shell, match_beta(h, shell.midpoint_energy)
+    )
 
 
-def _shell_pipeline(
-    config: CanonicalTypicalityConfig,
-    seed: int,
-    bath_dim: int,
-    bath_scale: float,
-    stream_base: int,
-):
+def _system_bath_shell(
+    config, seed: int, bath_dim: int, bath_scale: float, stream_base: int
+) -> ShellSetup:
+    """Shell of an equal-spaced system with a synthetic bath."""
     h_s = synth_bath_spectrum(
         None, config.dim_system, "equal_spaced", config.system_scale, label="S"
     )
@@ -597,19 +618,36 @@ def _shell_pipeline(
         bath_scale,
         label="B",
     )
-    h = build_composite(h_s, h_b)
-    ev = h.eigenvalues
-    center = ev[0] + config.center_fraction * (ev[-1] - ev[0])
-    shell = energy_shell(h, center - 0.5 * config.shell_width, config.shell_width)
-    _require_shell_dim(shell, config.min_shell_dim)
-    beta = match_beta(h, shell.midpoint_energy)
-    rho_s = canonical_density_matrix(h_s, beta)
+    return _shell_setup(config, (h_s, h_b))
+
+
+def canonical_typicality_shells(
+    config: CanonicalTypicalityConfig, seed: int
+) -> list[ShellSetup]:
+    """The reference shell, then the same energy span at scaling_factor
+    times the level density: more shell states per window."""
+    f = config.scaling_factor
+    return [
+        _system_bath_shell(
+            config, seed, config.bath_dim, config.bath_scale, AUX_STREAM_BASE
+        ),
+        _system_bath_shell(
+            config, seed, config.bath_dim * f, config.bath_scale / f,
+            AUX_STREAM_BASE + 16,
+        ),
+    ]
+
+
+def _typicality_distances(
+    config: CanonicalTypicalityConfig, seed: int, setup: ShellSetup,
+    stream_base: int,
+) -> np.ndarray:
+    rho_s = canonical_density_matrix(setup.factors[0], setup.beta)
     states = sample_shell_state(
-        RandomStream(seed, stream_base + 1), shell, size=config.n_draws
+        RandomStream(seed, stream_base + 1), setup.shell, size=config.n_draws
     )
     grams = _reduced_grams(states, config.dim_system)
-    dists = _batched_trace_distance(grams, rho_s.entries)
-    return shell, beta, dists
+    return _batched_trace_distance(grams, rho_s.entries)
 
 
 def run_canonical_typicality(
@@ -619,26 +657,20 @@ def run_canonical_typicality(
     canonical state at the matched inverse temperature, and get closer
     when the bath's density of states grows."""
     t0 = time.perf_counter()
-    shell_ref, beta_ref, dists_ref = _shell_pipeline(
-        config, seed, config.bath_dim, config.bath_scale, AUX_STREAM_BASE
-    )
-    # Same energy span, scaled level density: more shell states per window.
-    f = config.scaling_factor
-    shell_big, beta_big, dists_big = _shell_pipeline(
-        config, seed, config.bath_dim * f, config.bath_scale / f,
-        AUX_STREAM_BASE + 16,
-    )
+    ref, big = canonical_typicality_shells(config, seed)
+    dists_ref = _typicality_distances(config, seed, ref, AUX_STREAM_BASE)
+    dists_big = _typicality_distances(config, seed, big, AUX_STREAM_BASE + 16)
 
     frac = float(np.mean(dists_ref <= config.distance_threshold))
     statistics = {
-        "beta": beta_ref,
-        "shell_dim": float(shell_ref.shell_dim),
+        "beta": ref.beta,
+        "shell_dim": float(ref.shell.shell_dim),
         "mean_distance": float(dists_ref.mean()),
         "max_distance": float(dists_ref.max()),
         "p95_distance": float(np.quantile(dists_ref, 0.95)),
         "fraction_below_threshold": frac,
-        "scaled_beta": beta_big,
-        "scaled_shell_dim": float(shell_big.shell_dim),
+        "scaled_beta": big.beta,
+        "scaled_shell_dim": float(big.shell.shell_dim),
         "scaled_mean_distance": float(dists_big.mean()),
         "scaled_max_distance": float(dists_big.max()),
     }
@@ -774,6 +806,16 @@ def heredity_check(
     return checks, stat
 
 
+def gap_distribution_shells(
+    config: GapDistributionConfig, seed: int
+) -> list[ShellSetup]:
+    return [
+        _system_bath_shell(
+            config, seed, config.bath_dim, config.bath_scale, AUX_STREAM_BASE
+        )
+    ]
+
+
 def run_gap_distribution(
     config: GapDistributionConfig, seed: int, parallelism: int = 1
 ) -> ExperimentReport:
@@ -782,23 +824,9 @@ def run_gap_distribution(
     state; includes the product-state heredity control."""
     t0 = time.perf_counter()
     d_s = config.dim_system
-    h_s = synth_bath_spectrum(
-        None, d_s, "equal_spaced", config.system_scale, label="S"
-    )
-    h_b = synth_bath_spectrum(
-        RandomStream(seed, AUX_STREAM_BASE),
-        config.bath_dim,
-        config.bath_model,
-        config.bath_scale,
-        label="B",
-    )
-    h = build_composite(h_s, h_b)
-    ev = h.eigenvalues
-    center = ev[0] + config.center_fraction * (ev[-1] - ev[0])
-    shell = energy_shell(h, center - 0.5 * config.shell_width, config.shell_width)
-    _require_shell_dim(shell, config.min_shell_dim)
-    beta = match_beta(h, shell.midpoint_energy)
-    rho_target = canonical_density_matrix(h_s, beta)
+    (setup,) = gap_distribution_shells(config, seed)
+    h, shell, beta = setup.h, setup.shell, setup.beta
+    rho_target = canonical_density_matrix(setup.factors[0], beta)
     probes = fixed_probes(d_s, config.probe_count)
     flat = (
         h.flat_indices(shell.member_ranks) if h.has_computational_bases else None
@@ -964,6 +992,35 @@ class ConditionalDmConfig:
         _fractions(self, "center_fraction")
 
 
+def _conditional_dm_shell(
+    config: ConditionalDmConfig, seed: int, ds_idx: int
+) -> ShellSetup:
+    """Shell of system (x) y (x) s at the ds_idx-th traced dimension."""
+    h_sys = synth_bath_spectrum(
+        None, config.dim_system, "equal_spaced", config.system_scale, label="S"
+    )
+    h_y = synth_bath_spectrum(
+        None, config.dim_y, "equal_spaced", config.y_scale, label="y"
+    )
+    h_s = synth_bath_spectrum(
+        RandomStream(seed, AUX_STREAM_BASE + ds_idx),
+        config.dim_s_values[ds_idx],
+        config.s_model,
+        config.s_scale,
+        label="s",
+    )
+    return _shell_setup(config, (h_sys, h_y, h_s))
+
+
+def conditional_dm_shells(
+    config: ConditionalDmConfig, seed: int
+) -> list[ShellSetup]:
+    return [
+        _conditional_dm_shell(config, seed, ds_idx)
+        for ds_idx in range(len(config.dim_s_values))
+    ]
+
+
 def run_conditional_dm_concentration(
     config: ConditionalDmConfig, seed: int, parallelism: int = 1
 ) -> ExperimentReport:
@@ -980,28 +1037,12 @@ def run_conditional_dm_concentration(
     all_rows = []
     ratios_by_dim = []
 
+    # Each shell is set up just before its trials: building all of them
+    # first measurably slowed the trial loop that follows.
     for ds_idx, d_s in enumerate(config.dim_s_values):
-        h_sys = synth_bath_spectrum(
-            None, d_sys, "equal_spaced", config.system_scale, label="S"
-        )
-        h_y = synth_bath_spectrum(
-            None, d_y, "equal_spaced", config.y_scale, label="y"
-        )
-        h_s = synth_bath_spectrum(
-            RandomStream(seed, AUX_STREAM_BASE + ds_idx),
-            d_s,
-            config.s_model,
-            config.s_scale,
-            label="s",
-        )
-        h = build_composite(build_composite(h_sys, h_y), h_s)
-        ev = h.eigenvalues
-        center = ev[0] + config.center_fraction * (ev[-1] - ev[0])
-        shell = energy_shell(
-            h, center - 0.5 * config.shell_width, config.shell_width
-        )
-        _require_shell_dim(shell, config.min_shell_dim)
-        beta = match_beta(h, shell.midpoint_energy)
+        setup = _conditional_dm_shell(config, seed, ds_idx)
+        h_sys, _, h_s = setup.factors
+        h, shell, beta = setup.h, setup.shell, setup.beta
         rho_target = canonical_density_matrix(h_sys, beta)
         target = rho_target.entries
         vr_prediction = variance_ratio_prediction(h_s, beta)
@@ -1197,7 +1238,6 @@ class SurrogateConfig:
     ratio_tolerance: float = 0.10
     norm_var_tolerance: float = 0.10
     ad_subsample: int = 1000
-    chunk: int = 8192
 
     def __post_init__(self):
         _nonempty_of(self, "system_probs", (int, float))
@@ -1206,20 +1246,10 @@ class SurrogateConfig:
             raise ConfigError("field 'system_probs' must be a probability vector")
         _positive(
             self, "dim_s", "probe_count", "mean_tolerance", "ratio_tolerance",
-            "norm_var_tolerance", "chunk",
+            "norm_var_tolerance",
         )
         # sample variances and the Anderson-Darling statistic need two values
         _at_least(self, 2, "n_samples", "ad_subsample")
-
-
-def _surrogate_grams(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Reduced matrices Phi Phi^dagger of the rows Phi = diag(s) (X + iY),
-    from the real (m, d, k) stacks X and Y alone:
-    (s s^T) o (X X^T + Y Y^T + i (Y X^T - X Y^T))."""
-    xt, yt = x.transpose(0, 2, 1), y.transpose(0, 2, 1)
-    yx = y @ xt
-    grams = (x @ xt + y @ yt) + 1j * (yx - yx.transpose(0, 2, 1))
-    return grams * np.outer(s, s)
 
 
 def run_gaussian_surrogate_concentration(
@@ -1242,27 +1272,14 @@ def run_gaussian_surrogate_concentration(
     purity_s = 1.0 / d_s
     tr_c_sq = float(np.sum(p_sys**2)) * purity_s
 
-    # Phi = s_i (X + iY) on system (x) traced, with s_i = sqrt(p_i / (2 d_s)),
-    # is never formed: per chunk all real parts are drawn, then all
-    # imaginary parts, into two reused buffers.
-    rng = RandomStream(seed, AUX_STREAM_BASE).generator()
+    # Only the reduced matrices Phi Phi^dagger enter the checks, so they
+    # are drawn directly from their exact law; Phi is never formed.
     n = config.n_samples
-    s = np.sqrt(p_sys / (2.0 * d_s))
-    x_buf = np.empty((min(config.chunk, n), d_sys, d_s))
-    y_buf = np.empty_like(x_buf)
-    norm_sq = np.empty(n)
-    u_vals = np.empty((config.probe_count, n))
-    for start in range(0, n, config.chunk):
-        m = min(config.chunk, n - start)
-        x, y = x_buf[:m], y_buf[:m]
-        rng.standard_normal(out=x)
-        rng.standard_normal(out=y)
-        grams = _surrogate_grams(x, y, s)
-        norm_sq[start : start + m] = np.einsum("nii->n", grams).real
-        for p_idx in range(config.probe_count):
-            u_vals[p_idx, start : start + m] = kernels.quad_forms(
-                grams, probes[p_idx]
-            )
+    grams = sample_reduced_grams(
+        RandomStream(seed, AUX_STREAM_BASE), p_sys, d_s, n
+    )
+    norm_sq = np.einsum("nii->n", grams).real
+    u_vals = np.stack([kernels.quad_forms(grams, ph) for ph in probes])
     # Raw probe values follow the stated mean and variance; dividing by
     # the fluctuating squared norm keeps the mean but shrinks the variance
     # by an exact probe-dependent factor, so the normalized ratio is
@@ -1367,6 +1384,9 @@ class ExperimentInfo:
     runner: object
     config_type: type
     claim: str
+    # (config, seed) -> the run's energy shells, for experiments that have
+    # them; raises ConfigError for a shell below the config's floor
+    shells: object = None
 
 
 EXPERIMENTS = {
@@ -1390,6 +1410,7 @@ EXPERIMENTS = {
         CanonicalTypicalityConfig,
         "Reduced states of random energy-shell vectors concentrate at the "
         "canonical density matrix of the matched inverse temperature.",
+        canonical_typicality_shells,
     ),
     "gap_distribution": ExperimentInfo(
         "gap_distribution",
@@ -1398,6 +1419,7 @@ EXPERIMENTS = {
         "Conditional wave functions of shell states, given a random bath "
         "basis outcome, are GAP-distributed around the canonical state; "
         "conditionals of product-GAP states inherit GAP exactly.",
+        gap_distribution_shells,
     ),
     "conditional_dm_concentration": ExperimentInfo(
         "conditional_dm_concentration",
@@ -1406,6 +1428,7 @@ EXPERIMENTS = {
         "Conditional density matrices of shell states form a narrow peak at "
         "the canonical state whose probe variance follows the "
         "partition-function ratio and shrinks as the traced factor grows.",
+        conditional_dm_shells,
     ),
     "gaussian_surrogate": ExperimentInfo(
         "gaussian_surrogate",

@@ -267,6 +267,24 @@ def report_envelope(report: ExperimentReport) -> dict:
     return envelope
 
 
+TSV_BLOCK_ROWS = 4096
+
+
+def write_trials_tsv(path: str, columns, rows: np.ndarray) -> None:
+    """The per-trial table: a header line of column names, then one line per
+    row with every value as ``%.17g``, all tab-separated.  The bytes equal
+    those of ``np.savetxt(path, rows, fmt="%.17g", delimiter="\t",
+    header="\t".join(columns), comments="")``; formatting a whole block of
+    rows with one line template avoids savetxt's per-row Python loop."""
+    rows = rows.reshape(-1, len(columns))
+    line = "\t".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(columns) + "\n")
+        for start in range(0, rows.shape[0], TSV_BLOCK_ROWS):
+            block = rows[start : start + TSV_BLOCK_ROWS]
+            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def _write_report(report: ExperimentReport, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     envelope = report_envelope(report)
@@ -278,15 +296,7 @@ def _write_report(report: ExperimentReport, out_dir: str) -> dict:
     with open(paths["report"], "w", encoding="utf-8") as fh:
         json.dump(envelope, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    header = "\t".join(report.trial_columns)
-    np.savetxt(
-        paths["trials"],
-        report.trial_rows.reshape(-1, len(report.trial_columns)),
-        fmt="%.17g",
-        delimiter="\t",
-        header=header,
-        comments="",
-    )
+    write_trials_tsv(paths["trials"], report.trial_columns, report.trial_rows)
     with open(paths["summary"], "w", encoding="utf-8") as fh:
         fh.write(summary_text(report))
     return paths
@@ -366,7 +376,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list experiments and the claims they check")
 
     val_p = sub.add_parser(
-        "validate", help="parse a config file and echo its canonical form"
+        "validate",
+        help="parse a config file, run its shell setup, and echo its "
+        "canonical form",
     )
     val_p.add_argument("--config", required=True, help="YAML file to check")
     return parser
@@ -413,6 +425,11 @@ def _list_command() -> int:
 
 def _validate_command(args) -> int:
     run_config = load_run_config(args.config)
+    # the setup phase of `run`, so a config that `run` would refuse for a
+    # shell below its floor is refused here too
+    shells = EXPERIMENTS[run_config.experiment].shells
+    if shells is not None:
+        shells(run_config.experiment_config, run_config.seed)
     sys.stdout.write(
         yaml.safe_dump(
             canonical_config_dict(run_config),

@@ -24,6 +24,7 @@ from gaplab.ensembles import (
     sample_gap_via_purification,
     sample_haar_onb,
     sample_haar_unitary,
+    sample_reduced_grams,
     sample_uniform_sphere,
 )
 from gaplab.hilbert import (
@@ -300,6 +301,81 @@ class TestHaar:
         b = sample_haar_onb(RandomStream(27), 4, "Y")
         assert b.factor_label == "Y"
         assert b.num_vectors == 4
+
+
+class _FlatGammaGenerator(np.random.Generator):
+    """A generator whose gammas all take one shape: fed to the Bartlett
+    sampler, it puts Gamma(dim_traced) on every diagonal entry, the wrong
+    law for all but the first."""
+
+    dof = 0
+
+    def standard_gamma(self, shape, size=None, dtype=np.float64, out=None):
+        return super().standard_gamma(self.dof, size)
+
+
+class TestReducedGrams:
+    """The Bartlett stack against Phi Phi^dagger of directly drawn Phi."""
+
+    P_SYS = np.array([0.5, 0.3, 0.2])
+    N = 20_000
+
+    def direct_grams(self, seed, dim_traced):
+        scale = np.sqrt(self.P_SYS / (2.0 * dim_traced))[:, None]
+        phi = complex_normals(
+            RandomStream(seed).generator(),
+            (self.N, self.P_SYS.size, dim_traced),
+            scale,
+        )
+        return phi @ phi.conj().transpose(0, 2, 1)
+
+    def ks_pvalues(self, a, b):
+        """Two-sample KS p-values on the probe values, tr G and Re/Im G_01."""
+        probes = sample_uniform_sphere(
+            RandomStream(92), self.P_SYS.size, size=3
+        )
+
+        def stats(g):
+            out = [
+                np.einsum("i,nij,j->n", ph.conj(), g, ph).real for ph in probes
+            ]
+            out.append(np.einsum("nii->n", g).real)
+            out.extend([g[:, 0, 1].real, g[:, 0, 1].imag])
+            return out
+
+        return [ks_2samp(x, y).pvalue for x, y in zip(stats(a), stats(b))]
+
+    def test_shape_hermitian_and_rank(self):
+        g = sample_reduced_grams(RandomStream(90), self.P_SYS, 2, 50)
+        assert g.shape == (50, 3, 3) and g.dtype == np.complex128
+        assert np.max(np.abs(g - g.conj().transpose(0, 2, 1))) < 1e-15
+        # two traced dimensions leave rank 2
+        ev = np.linalg.eigvalsh(g)
+        assert np.all(ev[:, 1] > 1e-6 * ev[:, 2])
+        assert np.max(np.abs(ev[:, 0]) / ev[:, 2]) < 1e-12
+
+    def test_reproducible_from_stream(self):
+        a = sample_reduced_grams(RandomStream(91), self.P_SYS, 4, 10)
+        b = sample_reduced_grams(RandomStream(91), self.P_SYS, 4, 10)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dim_traced", [4, 2])
+    def test_law_matches_direct_phi(self, dim_traced):
+        # d_s = 4 has few degrees of freedom, far from the Gaussian limit;
+        # d_s = 2 < d_sys leaves T trapezoidal and G singular.
+        got = sample_reduced_grams(
+            RandomStream(93), self.P_SYS, dim_traced, self.N
+        )
+        ref = self.direct_grams(94, dim_traced)
+        assert min(self.ks_pvalues(got, ref)) > 1e-3
+
+    @pytest.mark.parametrize("dim_traced", [4, 2])
+    def test_negative_control_flat_gammas_fail(self, dim_traced):
+        rng = _FlatGammaGenerator(RandomStream(93).generator().bit_generator)
+        rng.dof = dim_traced
+        wrong = sample_reduced_grams(rng, self.P_SYS, dim_traced, self.N)
+        ref = self.direct_grams(94, dim_traced)
+        assert min(self.ks_pvalues(wrong, ref)) < 1e-6
 
 
 class TestBatchContainer:

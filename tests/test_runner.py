@@ -16,6 +16,7 @@ from gaplab.runner import (
     DEFAULT_OUT_DIR,
     OUT_DIR_ENV_VAR,
     REPORT_SCHEMA,
+    TSV_BLOCK_ROWS,
     ConfigError,
     RunConfig,
     canonical_config_dict,
@@ -25,6 +26,14 @@ from gaplab.runner import (
     report_envelope,
     resolve_out_dir,
     summary_text,
+    write_trials_tsv,
+)
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SHELL_EXPERIMENTS = (
+    "gap_distribution",
+    "canonical_typicality",
+    "conditional_dm_concentration",
 )
 
 TINY_SURROGATE = {
@@ -227,14 +236,29 @@ class TestCli:
         assert out == ""
         assert "config error" in err
 
+    @pytest.mark.parametrize("experiment", SHELL_EXPERIMENTS)
+    def test_validate_rejects_shell_below_floor(
+        self, tmp_path, capsys, experiment
+    ):
+        path = write_yaml(
+            tmp_path,
+            {"experiment": experiment, "config": {"min_shell_dim": 100_000}},
+        )
+        code, out, err = self.run_main(["validate", "--config", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert "min_shell_dim=100000" in err
+
     @pytest.mark.parametrize(
-        "experiment",
-        [
-            "gap_distribution",
-            "canonical_typicality",
-            "conditional_dm_concentration",
-        ],
+        "name", sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".yaml"))
     )
+    def test_validate_reference_configs(self, capsys, name):
+        path = os.path.join(CONFIG_DIR, name)
+        code, out, _ = self.run_main(["validate", "--config", path], capsys)
+        assert code == 0
+        assert yaml.safe_load(out)["experiment"] == name[: -len(".yaml")]
+
+    @pytest.mark.parametrize("experiment", SHELL_EXPERIMENTS)
     def test_run_rejects_shell_below_floor(
         self, tmp_path, capsys, monkeypatch, experiment
     ):
@@ -320,6 +344,30 @@ class TestCli:
         )
         assert code in (0, 1)  # only the directory name is under test here
         assert os.path.isdir(os.path.join(out_dir, "gaussian_surrogate-seed11"))
+
+
+class TestTrialsTsv:
+    def test_bytes_match_savetxt(self, tmp_path):
+        # two full blocks plus a partial one, with the values whose
+        # formatting is easiest to get wrong
+        rng = np.random.default_rng(5)
+        rows = rng.standard_normal((2 * TSV_BLOCK_ROWS + 3, 3))
+        rows[0] = [-0.0, 1e-300, 2.0**53 + 1]
+        rows[-1] = [np.inf, -np.inf, np.nan]
+        rows[TSV_BLOCK_ROWS] = [5e-324, 1.0, -1e300]
+        columns = ("a", "b", "c")
+        got, expected = tmp_path / "got.tsv", tmp_path / "expected.tsv"
+        write_trials_tsv(str(got), columns, rows)
+        np.savetxt(
+            expected, rows, fmt="%.17g", delimiter="\t", header="a\tb\tc",
+            comments="",
+        )
+        assert got.read_bytes() == expected.read_bytes()
+
+    def test_empty_table_is_header_only(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        write_trials_tsv(str(path), ("x", "y"), np.empty((0, 2)))
+        assert path.read_bytes() == b"x\ty\n"
 
 
 class TestFreshInterpreter:
