@@ -38,7 +38,6 @@ from .hilbert import (
     OrthonormalBasis,
     SpaceFactorization,
     StateVector,
-    partial_inner_product,
     single_factor,
 )
 from . import kernels
@@ -320,26 +319,20 @@ def sample_gap_via_purification(
     """
     p, vecs = _eigensystem(rho)
     rng = _rng_of(stream_or_rng)
+    n = size if size is not None else 1
     d = rho.dim
     bound = float(p.max())
-
-    if size is None:
-        phi = purification_of(rho)
-        while True:
-            psi2 = sample_uniform_sphere(rng, d, size=1)[0]
-            reduced = partial_inner_product(psi2, phi, _PURIFIER_LABEL)
-            w = reduced.norm() ** 2
-            if rng.uniform(0.0, 1.0) * bound < w:
-                return reduced.normalized_copy()
 
     def weights(u):
         return (np.abs(u) ** 2) @ p
 
-    psi2 = _accept_biased_sphere(rng, weights, d, bound, size)
+    psi2 = _accept_biased_sphere(rng, weights, d, bound, n)
     # <psi2|Phi> in the eigenbasis: coordinate j is sqrt(p_j) * conj(psi2_j).
     coeffs = np.sqrt(p) * psi2.conj()
     samples = coeffs @ vecs.T
     samples /= np.linalg.norm(samples, axis=1, keepdims=True)
+    if size is None:
+        return StateVector(samples[0], rho.factorization, normalized=True)
     return GapSampleBatch(samples, rho, "purification_def3")
 
 

@@ -828,25 +828,18 @@ def run_gap_distribution(
     h, shell, beta = setup.h, setup.shell, setup.beta
     rho_target = canonical_density_matrix(setup.factors[0], beta)
     probes = fixed_probes(d_s, config.probe_count)
-    flat = (
-        h.flat_indices(shell.member_ranks) if h.has_computational_bases else None
-    )
-    columns = None if flat is not None else shell.basis_columns()
+    flat = h.flat_indices(shell.member_ranks)
     d_b = config.bath_dim
     m_inner = config.inner_draws
     target = rho_target.entries
 
-    def trial(t: int) -> list[float]:
+    def trial(t: int) -> tuple:
         rng = RandomStream(seed, t).generator()
         k = shell.shell_dim
         z = complex_normals(rng, k)
         z /= np.linalg.norm(z)
-        if flat is not None:
-            psi = np.zeros(h.dim, dtype=np.complex128)
-            psi[flat] = z
-        else:
-            psi = columns @ z
-            psi /= np.linalg.norm(psi)
+        psi = np.zeros(h.dim, dtype=np.complex128)
+        psi[flat] = z
         c = condition_on_random_basis(rng, psi.reshape(1, d_s, d_b))[0]
         w = outcome_weights(c)
         ys = rng.choice(d_b, size=m_inner, p=w / w.sum())
@@ -857,22 +850,13 @@ def run_gap_distribution(
         mean_outer = 0.5 * (mean_outer + mean_outer.conj().T)
         dist = trace_distance(mean_outer, target)
         marg = probe_marginals(cond, probes)  # (probes, m_inner)
-        row = [dist]
-        row.extend(mean_outer.reshape(-1).real)
-        row.extend(mean_outer.reshape(-1).imag)
-        row.extend(marg.reshape(-1))
-        return row
+        return dist, mean_outer, marg
 
-    rows = run_trials(trial, config.outer_trials, parallelism)
-    d2 = d_s * d_s
-    dists = rows[:, 0]
-    cov = (
-        rows[:, 1 : 1 + d2].mean(axis=0) + 1j * rows[:, 1 + d2 : 1 + 2 * d2].mean(axis=0)
-    ).reshape(d_s, d_s)
-    pooled_marg = rows[:, 1 + 2 * d2 :].reshape(
-        config.outer_trials, config.probe_count, m_inner
-    )
-    pooled_marg = np.transpose(pooled_marg, (1, 0, 2)).reshape(config.probe_count, -1)
+    dists, outers, margs = run_trials(trial, config.outer_trials, parallelism)
+    # Real and imaginary parts are averaged apart: a complex mean divides
+    # by a complex count, which can round differently.
+    cov = outers.real.mean(axis=0) + 1j * outers.imag.mean(axis=0)
+    pooled_marg = np.transpose(margs, (1, 0, 2)).reshape(config.probe_count, -1)
 
     n_pool = config.outer_trials * m_inner
     reference = sample_gap(
@@ -1058,7 +1042,7 @@ def run_conditional_dm_concentration(
         dims3 = (d_sys, d_y, d_s)
         n_probes = config.probe_count
 
-        def trial(t: int) -> list[float]:
+        def trial(t: int) -> tuple:
             rng = RandomStream(seed, block + t).generator()
             z = complex_normals(rng, k)
             z /= np.linalg.norm(z)
@@ -1099,22 +1083,13 @@ def run_conditional_dm_concentration(
             diff = rho_c - target
             eigs = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
             dist = 0.5 * float(np.sum(np.abs(eigs)))
-            row = [float(y), float(wts[y]), dist]
-            row.extend(xv[:, y])
-            row.extend(m1n)
-            row.extend(m2n)
-            row.extend(m1u)
-            row.extend(m2u)
-            return row
+            return y, wts[y], dist, xv[:, y], m1n, m2n, m1u, m2u
 
-        rows = run_trials(trial, config.n_trials, parallelism)
+        ys, w_ys, dists, x_ys, *moments = run_trials(
+            trial, config.n_trials, parallelism
+        )
         tag = f"dim_s={d_s}"
-        dists = rows[:, 2]
-        base = 3 + n_probes
-        m1n = rows[:, base : base + n_probes].mean(axis=0)
-        m2n = rows[:, base + n_probes : base + 2 * n_probes].mean(axis=0)
-        m1u = rows[:, base + 2 * n_probes : base + 3 * n_probes].mean(axis=0)
-        m2u = rows[:, base + 3 * n_probes : base + 4 * n_probes].mean(axis=0)
+        m1n, m2n, m1u, m2u = (m.mean(axis=0) for m in moments)
         # The variance prediction describes the raw (unnormalized)
         # conditional; dividing by the fluctuating weight correlates
         # numerator and denominator and multiplies the ratio by an exact
@@ -1169,13 +1144,9 @@ def run_conditional_dm_concentration(
                     "pilot-calibrated",
                 )
             )
-        sub = np.column_stack(
-            [
-                np.full(rows.shape[0], d_s, dtype=float),
-                rows[:, : 3 + n_probes],
-            ]
+        all_rows.append(
+            np.column_stack([np.full(ys.shape[0], d_s), ys, w_ys, dists, x_ys])
         )
-        all_rows.append(sub)
 
     for (d_a, r_a), (d_b, r_b) in zip(ratios_by_dim, ratios_by_dim[1:]):
         expected = d_b / d_a

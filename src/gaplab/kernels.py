@@ -1,79 +1,21 @@
-"""Hot array kernels with numba-compiled and pure-numpy implementations.
+"""Hot array kernels, each one numpy expression.
 
-Every kernel has a numpy implementation (suffix ``_numpy``) and a numba one
-(suffix ``_numba``).  The exported unsuffixed names point at the numba build
-when numba imports cleanly, unless the environment variable
-``GAPLAB_NO_NUMBA`` is set to a nonempty value other than ``0``, in which
-case the numpy path is selected.  Both paths produce identical results to
-floating-point roundoff; randomness never enters here, so backend choice
-cannot affect reproducibility contracts.
+Randomness never enters here.  Callers reach the kernels through this
+module's namespace (``kernels.<name>``), so a profiler that rebinds a name
+here sees every call.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("GAPLAB_NO_NUMBA", "")
-_numba_wanted = _flag in ("", "0")
 
-try:
-    if not _numba_wanted:
-        raise ImportError("numba disabled by GAPLAB_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # fallback decorator, keeps definitions importable
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def sum_outer_numpy(vectors: np.ndarray) -> np.ndarray:
+def sum_outer(vectors: np.ndarray) -> np.ndarray:
     """Sum of outer products v_n v_n^dagger over the rows of an (N, d) array."""
     return vectors.T @ vectors.conj()
 
 
-@njit(cache=True, nogil=True)
-def sum_outer_numba(vectors: np.ndarray) -> np.ndarray:
-    n, d = vectors.shape
-    out = np.zeros((d, d), dtype=np.complex128)
-    for r in range(n):
-        v = vectors[r]
-        for i in range(d):
-            vi = v[i]
-            for j in range(d):
-                out[i, j] += vi * np.conj(v[j])
-    return out
-
-
-def axis1_weights_numpy(t: np.ndarray) -> np.ndarray:
-    """Squared-modulus mass per middle-axis slice of an (a, b, c) tensor."""
-    return np.einsum("iyk,iyk->y", t, t.conj()).real
-
-
-@njit(cache=True, nogil=True)
-def axis1_weights_numba(t: np.ndarray) -> np.ndarray:
-    a, b, c = t.shape
-    out = np.zeros(b, dtype=np.float64)
-    for i in range(a):
-        for y in range(b):
-            s = 0.0
-            for k in range(c):
-                z = t[i, y, k]
-                s += z.real * z.real + z.imag * z.imag
-            out[y] += s
-    return out
-
-
-def conditional_dms_numpy(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def conditional_dms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized conditional matrices A_y A_y^dagger and their weights.
 
     For an (a, b, c) tensor, slice y gives A_y = t[:, y, :]; the result is a
@@ -85,54 +27,6 @@ def conditional_dms_numpy(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return grams, weights
 
 
-@njit(cache=True, nogil=True)
-def conditional_dms_numba(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a, b, c = t.shape
-    grams = np.zeros((b, a, a), dtype=np.complex128)
-    weights = np.zeros(b, dtype=np.float64)
-    for y in range(b):
-        for i in range(a):
-            for j in range(a):
-                s = 0.0 + 0.0j
-                for k in range(c):
-                    s += t[i, y, k] * np.conj(t[j, y, k])
-                grams[y, i, j] = s
-        w = 0.0
-        for i in range(a):
-            w += grams[y, i, i].real
-        weights[y] = w
-    return grams, weights
-
-
-def quad_forms_numpy(mats: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def quad_forms(mats: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Re <phi| M_t |phi> across a (T, d, d) stack of Hermitian matrices."""
     return np.einsum("i,tij,j->t", phi.conj(), mats, phi).real
-
-
-@njit(cache=True, nogil=True)
-def quad_forms_numba(mats: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    t_count, d, _ = mats.shape
-    out = np.empty(t_count, dtype=np.float64)
-    for t in range(t_count):
-        acc = 0.0 + 0.0j
-        for i in range(d):
-            row = 0.0 + 0.0j
-            for j in range(d):
-                row += mats[t, i, j] * phi[j]
-            acc += np.conj(phi[i]) * row
-        out[t] = acc.real
-    return out
-
-
-if HAVE_NUMBA:
-    sum_outer = sum_outer_numba
-    axis1_weights = axis1_weights_numba
-    conditional_dms = conditional_dms_numba
-    quad_forms = quad_forms_numba
-else:
-    sum_outer = sum_outer_numpy
-    axis1_weights = axis1_weights_numpy
-    conditional_dms = conditional_dms_numpy
-    quad_forms = quad_forms_numpy
-
-USING_NUMBA = HAVE_NUMBA

@@ -28,7 +28,6 @@ import jsonschema
 import numpy as np
 import yaml
 
-from . import kernels
 from .experiments import EXPERIMENTS, ConfigError, ExperimentReport
 
 SCHEMA_VERSION = "1"
@@ -257,7 +256,6 @@ def report_envelope(report: ExperimentReport) -> dict:
             "wall_time_s": report.wall_time_s,
             "parallelism": report.parallelism,
             "package_version": _package_version(),
-            "numba_kernels": kernels.USING_NUMBA,
             "generated_at": datetime.datetime.now(
                 datetime.timezone.utc
             ).isoformat(),

@@ -13,13 +13,12 @@ import gaplab
 GAPLAB_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(gaplab.__file__)))
 
 
-def _run_python(*args, env_extra=None):
+def _run_python(*args):
     """Run a fresh interpreter that imports the same gaplab as this suite.
 
-    The environment is minimal, so none of the parent's variables leak in;
-    ``env_extra`` adds to it.
+    The environment is minimal, so none of the parent's variables leak in.
     """
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": GAPLAB_ROOT, **(env_extra or {})}
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": GAPLAB_ROOT}
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True
     )

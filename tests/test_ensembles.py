@@ -30,6 +30,7 @@ from gaplab.ensembles import (
 from gaplab.hilbert import (
     DensityMatrix,
     SpaceFactorization,
+    partial_inner_product,
     partial_trace,
     single_factor,
     trace_distance,
@@ -219,11 +220,17 @@ class TestGapSamplers:
         assert np.max(np.abs(np.abs(batch.amplitudes[:, 0]) - 1.0)) < 1e-12
         assert np.max(np.abs(batch.amplitudes[:, 1])) < 1e-12
 
-    def test_single_draw_normalized(self):
-        rho = diag_rho([0.6, 0.4])
-        for sampler in GAP_SAMPLERS.values():
-            sv = sampler(RandomStream(17), rho)
+    @pytest.mark.parametrize("tag", sorted(GAP_SAMPLERS))
+    def test_single_draw_is_batch_of_one(self, tag):
+        sampler = GAP_SAMPLERS[tag]
+        rho = random_rho(np.random.default_rng(17), 3, label="Q")
+        for s in range(5):
+            sv = sampler(RandomStream(s), rho)
+            batch = sampler(RandomStream(s), rho, size=1)
+            assert np.array_equal(sv.amplitudes, batch.amplitudes[0])
+            assert sv.factorization == rho.factorization
             assert sv.normalized
+            assert abs(sv.norm() - 1.0) < 1e-12
 
 
 class TestPushforwardEnsemble:
@@ -250,6 +257,24 @@ class TestPurification:
 
         reduced = partial_trace(pure_density_matrix(phi), "_purifier")
         assert trace_distance(reduced, rho) < 1e-12
+
+    def test_sampler_conditions_the_purification(self):
+        # Replay the sampler's ancilla draws and condition purification_of
+        # on each through the generic partial inner product.
+        rho = random_rho(np.random.default_rng(21), 3)
+        p, _ = ens._eigensystem(rho)
+        draws = sample_gap_via_purification(RandomStream(22), rho, size=4)
+        ancillas = ens._accept_biased_sphere(
+            RandomStream(22).generator(),
+            lambda u: (np.abs(u) ** 2) @ p,
+            3,
+            float(p.max()),
+            4,
+        )
+        phi = purification_of(rho)
+        for row, a in zip(draws.amplitudes, ancillas):
+            v = partial_inner_product(a, phi, "_purifier").normalized_copy()
+            assert np.allclose(row, v.amplitudes, atol=1e-12)
 
 
 class TestRejectionOracle:

@@ -169,6 +169,12 @@ class TestReportEnvelope:
         assert "wall_time_s" not in env["report"]
         assert "wall_time_s" in env["volatile"]
         assert "parallelism" not in env["report"]
+        assert set(env["volatile"]) == {
+            "wall_time_s",
+            "parallelism",
+            "package_version",
+            "generated_at",
+        }
 
     def test_summary_lines(self, tiny_report):
         text = summary_text(tiny_report)
