@@ -291,22 +291,6 @@ def sample_gap_via_dap(stream_or_rng, rho: DensityMatrix, size: int | None = Non
     return GapSampleBatch(samples, rho, "DAP_def2")
 
 
-_PURIFIER_LABEL = "_purifier"
-
-
-def purification_of(rho: DensityMatrix) -> StateVector:
-    """A canonical purification of rho on rho's space joined with an ancilla.
-
-    Uses sqrt(p_j) |v_j> (x) |e_j> over the eigensystem of rho, with the
-    ancilla in its computational basis under the label ``_purifier``.
-    """
-    p, vecs = _eigensystem(rho)
-    d = rho.dim
-    amps = (vecs * np.sqrt(p)).reshape(-1)  # sum_j sqrt(p_j) v_j (x) e_j
-    fact = rho.factorization.joined_with(single_factor(_PURIFIER_LABEL, d))
-    return StateVector(amps, fact, normalized=True)
-
-
 def sample_gap_via_purification(
     stream_or_rng, rho: DensityMatrix, size: int | None = None
 ):

@@ -250,8 +250,9 @@ def probe_marginals(vectors: np.ndarray, probes: np.ndarray) -> np.ndarray:
 
 
 def ks_pvalue(a: np.ndarray, b: np.ndarray) -> float:
-    # scipy.stats is imported where it is used: it is most of the import
-    # time of the package, and some experiments never need it.
+    # `import gaplab` loads numpy, pyyaml and the standard library only;
+    # anything else (scipy.stats here, jsonschema in the runner) is imported
+    # at its first use.  Loading and validating configs needs neither.
     from scipy import stats
 
     return float(stats.ks_2samp(a, b, method="asymp").pvalue)

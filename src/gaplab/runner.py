@@ -19,12 +19,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import os
 import sys
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
 import yaml
 
@@ -247,6 +247,17 @@ def _package_version() -> str:
         return "unknown"
 
 
+@functools.cache
+def _report_validator():
+    """A validator for REPORT_SCHEMA, built once: ``jsonschema.validate``
+    would check the schema itself again on every report."""
+    import jsonschema  # at the first report; loading configs never needs it
+
+    cls = jsonschema.validators.validator_for(REPORT_SCHEMA)
+    cls.check_schema(REPORT_SCHEMA)
+    return cls(REPORT_SCHEMA)
+
+
 def report_envelope(report: ExperimentReport) -> dict:
     """Versioned JSON document: deterministic body plus volatile footer."""
     envelope = {
@@ -261,7 +272,7 @@ def report_envelope(report: ExperimentReport) -> dict:
             ).isoformat(),
         },
     }
-    jsonschema.validate(envelope, REPORT_SCHEMA)
+    _report_validator().validate(envelope)
     return envelope
 
 

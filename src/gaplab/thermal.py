@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .hilbert import (
     DensityMatrix,
@@ -229,8 +228,23 @@ def build_composite(
 
 
 def log_partition_function(h: HamiltonianSpec, beta: float) -> float:
-    """log Z(beta) = log sum exp(-beta E), evaluated without overflow."""
-    return float(logsumexp(-beta * h.eigenvalues))
+    """log Z(beta) = log sum exp(-beta E), evaluated without overflow.
+
+    With x = -beta E, the largest exponent x_max and its multiplicity m are
+    factored out: Z = m exp(x_max) (1 + s), where s is the sum of the other
+    terms exp(x - x_max) over m.  Then log Z = log1p(s) + log(m) + x_max,
+    accurate for any spread of x (Blanchard, Higham & Higham, IMA J. Numer.
+    Anal. 41(4), 2021).  These are the steps of SciPy's real-input
+    ``logsumexp``, in its order, so the two agree bit for bit.
+    """
+    x = -beta * h.eigenvalues
+    x_max = x.max()
+    at_max = x == x_max
+    terms = np.exp(x - x_max)
+    terms[at_max] = 0.0  # zeroed, not dropped: the sum then pairs as SciPy's
+    m = float(np.count_nonzero(at_max))
+    s = terms.sum() / m
+    return float(np.log1p(s) + np.log(m) + x_max)
 
 
 def partition_function(h: HamiltonianSpec, beta: float) -> float:

@@ -13,7 +13,6 @@ from gaplab.ensembles import (
     RejectionOracleResult,
     complex_normals,
     empirical_covariance,
-    purification_of,
     rejection_oracle_ga,
     sample_complex_gaussian,
     sample_d,
@@ -30,8 +29,10 @@ from gaplab.ensembles import (
 from gaplab.hilbert import (
     DensityMatrix,
     SpaceFactorization,
+    StateVector,
     partial_inner_product,
     partial_trace,
+    pure_density_matrix,
     single_factor,
     trace_distance,
 )
@@ -248,14 +249,29 @@ class TestPushforwardEnsemble:
         assert trace_distance(cov, rho.entries) < 0.02
 
 
+PURIFIER_LABEL = "_purifier"
+
+
+def purification_of(rho: DensityMatrix) -> StateVector:
+    """A canonical purification of rho on rho's space joined with an ancilla.
+
+    Uses sqrt(p_j) |v_j> (x) |e_j> over the eigensystem of rho, with the
+    ancilla in its computational basis under the label ``_purifier``: the
+    state that ``sample_gap_via_purification`` conditions, written out.
+    """
+    p, vecs = ens._eigensystem(rho)
+    d = rho.dim
+    amps = (vecs * np.sqrt(p)).reshape(-1)  # sum_j sqrt(p_j) v_j (x) e_j
+    fact = rho.factorization.joined_with(single_factor(PURIFIER_LABEL, d))
+    return StateVector(amps, fact, normalized=True)
+
+
 class TestPurification:
     def test_reduces_to_rho(self):
         rho = random_rho(np.random.default_rng(20), 4)
         phi = purification_of(rho)
         assert abs(phi.norm() - 1.0) < 1e-12
-        from gaplab.hilbert import pure_density_matrix
-
-        reduced = partial_trace(pure_density_matrix(phi), "_purifier")
+        reduced = partial_trace(pure_density_matrix(phi), PURIFIER_LABEL)
         assert trace_distance(reduced, rho) < 1e-12
 
     def test_sampler_conditions_the_purification(self):
@@ -273,7 +289,7 @@ class TestPurification:
         )
         phi = purification_of(rho)
         for row, a in zip(draws.amplitudes, ancillas):
-            v = partial_inner_product(a, phi, "_purifier").normalized_copy()
+            v = partial_inner_product(a, phi, PURIFIER_LABEL).normalized_copy()
             assert np.allclose(row, v.amplitudes, atol=1e-12)
 
 

@@ -1,5 +1,7 @@
 """Config parsing, report serialization, output layout, and the CLI."""
 
+import dataclasses
+import glob
 import json
 import os
 
@@ -163,6 +165,14 @@ class TestReportEnvelope:
         jsonschema.validate(env, REPORT_SCHEMA)  # explicit, beyond built-in
         assert env["schema_version"] == "1"
         assert env["report"]["experiment"] == "gaussian_surrogate"
+
+    def test_cached_validator_still_rejects(self, tiny_report):
+        report_envelope(tiny_report)  # builds the validator
+        bad = dataclasses.replace(
+            tiny_report, statistics={**tiny_report.statistics, "broken": "1.0"}
+        )
+        with pytest.raises(jsonschema.ValidationError, match="'1.0'"):
+            report_envelope(bad)
 
     def test_payload_excludes_volatile(self, tiny_report):
         env = report_envelope(tiny_report)
@@ -384,11 +394,29 @@ class TestFreshInterpreter:
         assert "RuntimeWarning" not in out.stderr
 
     def test_import_leaves_scipy_stats_unloaded(self, run_python):
-        out = run_python(
-            "-c", "import sys, gaplab; print('scipy.stats' in sys.modules)"
+        # Neither SciPy nor jsonschema may load before a statistical test or
+        # a report needs it: not at import, not for a config, not in validate.
+        configs = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.yaml")))
+        assert len(configs) == 6
+        child = (
+            "import contextlib, io, sys\n"
+            "def loaded():\n"
+            "    return sorted({m.split('.')[0] for m in sys.modules}\n"
+            "                  & {'scipy', 'jsonschema'})\n"
+            "import gaplab\n"
+            "from gaplab import runner\n"
+            "print(loaded())\n"
+            "for path in sys.argv[1:]:\n"
+            "    runner.load_run_config(path)\n"
+            "print(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for path in sys.argv[1:]:\n"
+            "        assert runner.main(['validate', '--config', path]) == 0\n"
+            "print(loaded())\n"
         )
+        out = run_python("-c", child, *configs)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["False"]
+        assert out.stdout.splitlines() == ["[]", "[]", "[]"]
 
 
 class TestRerunDeterminism:

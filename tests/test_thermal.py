@@ -1,12 +1,16 @@
 """Spectra, canonical ensembles, energy shells, and the composite builder."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from gaplab.ensembles import RandomStream, sample_haar_unitary
+from gaplab.experiments import EXPERIMENTS
 from gaplab.hilbert import trace_distance
+from gaplab.runner import load_run_config
 from gaplab.thermal import (
     EnergyShell,
     HamiltonianSpec,
@@ -22,6 +26,9 @@ from gaplab.thermal import (
     synth_bath_spectrum,
     variance_ratio_prediction,
 )
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def flat_spec(values, label="H", basis=None):
@@ -142,6 +149,43 @@ class TestPartitionFunction:
         h = flat_spec([-10_000.0, -9_999.0])
         got = log_partition_function(h, 1.0)
         assert abs(got - (10_000.0 + math.log1p(math.exp(-1.0)))) < 1e-9
+
+    @staticmethod
+    def assert_matches_scipy(h, beta):
+        want = float(logsumexp(-beta * h.eigenvalues))
+        assert log_partition_function(h, beta) == want
+
+    @pytest.mark.parametrize(
+        "name",
+        ["canonical_typicality", "gap_distribution", "conditional_dm_concentration"],
+    )
+    def test_bitwise_scipy_on_reference_spectra(self, name):
+        run = load_run_config(os.path.join(CONFIG_DIR, f"{name}.yaml"))
+        for setup in EXPERIMENTS[name].shells(run.experiment_config, run.seed):
+            for h in (setup.h, *setup.factors):
+                for beta in (setup.beta, 2.0 * setup.beta, -setup.beta):
+                    self.assert_matches_scipy(h, beta)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, -1.7, 4.0])
+    def test_bitwise_scipy_on_tied_and_flat_spectra(self, beta):
+        rng = np.random.default_rng(7)
+        for values in (
+            [0.0, 0.0, 0.0, 1.0, 2.5],  # tied minima
+            [-1.0, -1.0, 3.0, 3.0, 3.0],  # ties at both ends
+            np.round(rng.standard_normal(4_097) * 3.0),  # many ties
+            [2.5] * 5,  # flat
+            [0.0],
+            np.arange(1_000) * 0.37,  # a ladder: the sum's pairing matters
+        ):
+            self.assert_matches_scipy(flat_spec(values), beta)
+
+    def test_bitwise_scipy_at_large_exponents(self):
+        rng = np.random.default_rng(8)
+        for scale in (1e2, 1e3):
+            h = flat_spec(rng.uniform(-scale, scale, 1_000))
+            for beta in (1.0, -1.0, 0.999):
+                self.assert_matches_scipy(h, beta)
+        self.assert_matches_scipy(flat_spec([-1_000.0, -999.0, 1_000.0]), 1.0)
 
 
 class TestCanonicalEnsemble:
