@@ -336,6 +336,34 @@ class RejectionOracleResult:
         return GapSampleBatch(s, self.source_rho, "rejection_oracle")
 
 
+# Largest row block of rejection_oracle_ga's proposal batch, in bytes.  A
+# batch is about 1.3 * cap * size rows (42 MB at dim 4, size 1e4, cap 50);
+# glibc's malloc serves every request above 32 MiB with a fresh mmap, so
+# one array that size adds to whatever freed heap memory happens to be
+# resident instead of reusing it, and peak RSS then varies from run to run.
+_PROPOSAL_BLOCK_BYTES = 8 << 20
+
+
+def _proposal_blocks(rng: np.random.Generator, p: np.ndarray, n: int) -> list:
+    """``sample_complex_gaussian(rng, p, size=n)`` as a list of row blocks of
+    at most ``_PROPOSAL_BLOCK_BYTES``: the same draws, bit for bit, in the
+    same generator order (all real parts, then all imaginary parts)."""
+    d = p.shape[0]
+    step = max(1, _PROPOSAL_BLOCK_BYTES // (16 * d))
+    blocks = [
+        np.empty((min(step, n - start), d), dtype=np.complex128)
+        for start in range(0, n, step)
+    ]
+    buf = np.empty(blocks[0].shape)
+    scale = np.sqrt(p / 2.0)
+    for part in ("real", "imag"):
+        for block in blocks:
+            draw = buf[: len(block)]
+            rng.standard_normal(out=draw)
+            np.multiply(draw, scale, out=getattr(block, part))
+    return blocks
+
+
 def rejection_oracle_ga(
     stream_or_rng, rho: DensityMatrix, cap: float = 50.0, size: int = 1
 ) -> RejectionOracleResult:
@@ -357,15 +385,19 @@ def rejection_oracle_ga(
     while count < size:
         need = size - count
         chunk = max(512, int(1.3 * need * cap) + 16)
-        coeffs = sample_complex_gaussian(rng, p, size=chunk)
-        w = np.einsum("ij,ij->i", coeffs.real, coeffs.real) + np.einsum(
-            "ij,ij->i", coeffs.imag, coeffs.imag
-        )
+        blocks = _proposal_blocks(rng, p, chunk)
+        thresholds = rng.uniform(0.0, 1.0, size=chunk) * cap
         proposals += chunk
-        tail += int(np.count_nonzero(w > cap))
-        keep = rng.uniform(0.0, 1.0, size=chunk) * cap < np.minimum(w, cap)
-        kept.append(coeffs[keep])
-        count += int(np.count_nonzero(keep))
+        start = 0
+        for block in blocks:
+            w = np.einsum("ij,ij->i", block.real, block.real) + np.einsum(
+                "ij,ij->i", block.imag, block.imag
+            )
+            tail += int(np.count_nonzero(w > cap))
+            keep = thresholds[start : start + len(block)] < np.minimum(w, cap)
+            kept.append(block[keep])
+            count += int(np.count_nonzero(keep))
+            start += len(block)
         # Starvation guard: the long-run acceptance rate sits near 1/cap
         # because the adjustment has unit mean; far below that means the
         # proposal ensemble is broken.

@@ -314,14 +314,42 @@ class TestRejectionOracle:
     def test_starvation_guard(self, monkeypatch):
         # Shrink every proposal so the acceptance weight collapses; the
         # guard must fire rather than loop forever.
-        real = sample_complex_gaussian
+        real = ens._proposal_blocks
 
-        def tiny(rng, variances, size=None):
-            return 1e-6 * real(rng, variances, size=size)
+        def tiny(rng, p, n):
+            return [1e-6 * block for block in real(rng, p, n)]
 
-        monkeypatch.setattr(ens, "sample_complex_gaussian", tiny)
+        monkeypatch.setattr(ens, "_proposal_blocks", tiny)
         with pytest.raises(AcceptanceStarvationError):
             rejection_oracle_ga(RandomStream(24), diag_rho([0.5, 0.5]), size=10)
+
+    def test_proposal_blocks_hold_one_batch(self, monkeypatch):
+        # Row blocks of any size hold the draws of one batch, bit for bit,
+        # and leave the generator where one batch would.
+        p = np.array([0.5, 0.3, 0.2])
+        rng_a = RandomStream(25).generator()
+        rng_b = RandomStream(25).generator()
+        whole = sample_complex_gaussian(rng_a, p, size=1_000)
+        monkeypatch.setattr(ens, "_PROPOSAL_BLOCK_BYTES", 16 * p.size * 7)
+        blocks = ens._proposal_blocks(rng_b, p, 1_000)
+        assert [len(b) for b in blocks] == [7] * 142 + [6]
+        joined = np.concatenate(blocks)
+        assert np.array_equal(joined.view(np.float64), whole.view(np.float64))
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_result_independent_of_block_size(self, monkeypatch):
+        rho = diag_rho([0.5, 0.3, 0.2])
+        one = rejection_oracle_ga(RandomStream(26), rho, cap=50.0, size=500)
+        monkeypatch.setattr(ens, "_PROPOSAL_BLOCK_BYTES", 16 * 3 * 1_000)
+        many = rejection_oracle_ga(RandomStream(26), rho, cap=50.0, size=500)
+        assert np.array_equal(
+            many.samples.view(np.float64), one.samples.view(np.float64)
+        )
+        assert (many.acceptance_rate, many.proposals, many.tail_fraction) == (
+            one.acceptance_rate,
+            one.proposals,
+            one.tail_fraction,
+        )
 
 
 class TestHaar:
