@@ -3,8 +3,8 @@
 The Gaussian-adjusted-projected (GAP) distribution of a density matrix rho
 is realized three independent ways, which agree exactly in law:
 
-* ``sample_gap``: draw coordinates in the eigenbasis of rho from the
-  size-biased mixture that the norm-square adjustment of a product of
+* ``sample_gap``: draw coordinates in the eigenvector basis of rho from
+  the size-biased mixture that the norm-square adjustment of a product of
   complex Gaussians factors into, then project to the unit sphere.  One
   mixture index J is drawn with probability p_J, coordinate J gets its
   squared modulus from Gamma(shape 2, scale p_J) with a uniform phase, and
@@ -176,8 +176,8 @@ def sample_uniform_sphere(stream_or_rng, space, size: int | None = None):
 def sample_g(stream_or_rng, rho: DensityMatrix, size: int | None = None):
     """The Gaussian ensemble of rho: unnormalized vectors with covariance rho.
 
-    Coordinates in the eigenbasis of rho are independent complex Gaussians
-    whose variances are the eigenvalues; E |Psi|^2 = tr rho = 1.
+    Coordinates in the eigenvector basis of rho are independent complex
+    Gaussians whose variances are the eigenvalues; E |Psi|^2 = tr rho = 1.
     """
     p, vecs = _eigensystem(rho)
     rng = _rng_of(stream_or_rng)
@@ -189,8 +189,9 @@ def sample_g(stream_or_rng, rho: DensityMatrix, size: int | None = None):
 
 
 def _ga_coefficients(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:
-    """Unnormalized eigenbasis coordinates of n draws from the norm-square
-    adjusted Gaussian ensemble, via its exact mixture decomposition."""
+    """Unnormalized eigenvector-basis coordinates of n draws from the
+    norm-square adjusted Gaussian ensemble, via its exact mixture
+    decomposition."""
     d = p.shape[0]
     j_idx = rng.choice(d, size=n, p=p)
     coeffs = sample_complex_gaussian(rng, p, size=n)
@@ -311,7 +312,7 @@ def sample_gap_via_purification(
         return (np.abs(u) ** 2) @ p
 
     psi2 = _accept_biased_sphere(rng, weights, d, bound, n)
-    # <psi2|Phi> in the eigenbasis: coordinate j is sqrt(p_j) * conj(psi2_j).
+    # <psi2|Phi> in rho's eigenvector basis: coordinate j is sqrt(p_j) * conj(psi2_j).
     coeffs = np.sqrt(p) * psi2.conj()
     samples = coeffs @ vecs.T
     samples /= np.linalg.norm(samples, axis=1, keepdims=True)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
+from . import __version__
 from .experiments import EXPERIMENTS, ConfigError, ExperimentReport
 
 SCHEMA_VERSION = "1"
@@ -238,15 +239,6 @@ def _jsonable(obj):
     return obj
 
 
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("gaplab")
-    except Exception:
-        return "unknown"
-
-
 @functools.cache
 def _report_validator():
     """A validator for REPORT_SCHEMA, built once: ``jsonschema.validate``
@@ -266,7 +258,7 @@ def report_envelope(report: ExperimentReport) -> dict:
         "volatile": {
             "wall_time_s": report.wall_time_s,
             "parallelism": report.parallelism,
-            "package_version": _package_version(),
+            "package_version": __version__,
             "generated_at": datetime.datetime.now(
                 datetime.timezone.utc
             ).isoformat(),

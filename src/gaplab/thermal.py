@@ -1,11 +1,12 @@
 """Hamiltonian spectra, canonical ensembles, and microcanonical energy shells.
 
-A Hamiltonian is represented by its sorted eigenvalues together with a
-product-structured eigenbasis: each tensor factor carries either an explicit
-unitary or ``None`` for the computational basis.  Composites built with
-``build_composite`` (noninteracting coupling, so eigenvalues add pairwise)
-keep this product form instead of materializing the Kronecker eigenbasis,
-which lets shell states on spaces of dimension ~10^4 be assembled by
+Every Hamiltonian here is diagonal in the product computational basis: it
+is given by its sorted eigenvalues and, per rank, the computational-basis
+index of its eigenvector in each tensor factor.  Composites built with
+``build_composite`` are noninteracting (energies add, the weak-coupling
+limit), so they stay diagonal, and an eigenvector is one-hot at a
+row-major flat index.  Canonical and microcanonical states are therefore
+diagonal, and shell states on spaces of dimension ~10^4 are assembled by
 scattering coefficients rather than by dense matrix products.
 
 Inverse temperatures enter through the canonical family
@@ -16,23 +17,12 @@ space throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    DensityMatrix,
-    OrthonormalBasis,
-    SpaceFactorization,
-    StateVector,
-)
-from .ensembles import (
-    RandomStream,
-    _rng_of,
-    complex_normals,
-    sample_haar_unitary,
-)
+from .hilbert import DensityMatrix, SpaceFactorization, StateVector
+from .ensembles import _rng_of, complex_normals
 
 SHELL_EDGE_TOL = 1e-12
 SPECTRUM_MODELS = ("equal_spaced", "poisson_gaps", "semicircle")
@@ -40,22 +30,17 @@ SPECTRUM_MODELS = ("equal_spaced", "poisson_gaps", "semicircle")
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Sorted spectrum plus a product-structured eigenbasis.
+    """Sorted spectrum of a Hamiltonian diagonal in the product basis.
 
-    ``column_indices[m]`` names, per factor, which basis column the rank-m
-    eigenvector is built from; a factor basis of ``None`` stands for the
-    computational basis of that factor.
+    ``column_indices[m]`` names, per factor, the computational-basis index
+    of the rank-m eigenvector's factor component.
     """
 
     eigenvalues: np.ndarray
     factor_labels: tuple[str, ...]
     factor_dims: tuple[int, ...]
-    factor_bases: tuple[np.ndarray | None, ...]
     column_indices: np.ndarray
     label: str
-    # Set only by the perturbed-composite path: a full (dim, dim) eigenbasis
-    # that overrides the product structure while keeping the factorization.
-    dense_basis: np.ndarray | None = None
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -69,23 +54,6 @@ class HamiltonianSpec:
         ci = np.asarray(self.column_indices, dtype=np.int64)
         if ci.shape != (total, len(self.factor_dims)):
             raise ValueError("column_indices has the wrong shape")
-        for k, basis in enumerate(self.factor_bases):
-            if basis is None:
-                continue
-            b = np.asarray(basis, dtype=np.complex128)
-            if b.shape != (self.factor_dims[k], self.factor_dims[k]):
-                raise ValueError(f"factor basis {k} has shape {b.shape}")
-            defect = np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0])))
-            if defect > 1e-10:
-                raise ValueError(f"factor basis {k} not unitary: defect {defect:.2e}")
-        if self.dense_basis is not None:
-            db = np.asarray(self.dense_basis, dtype=np.complex128)
-            if db.shape != (total, total):
-                raise ValueError("dense eigenbasis has the wrong shape")
-            defect = np.max(np.abs(db.conj().T @ db - np.eye(total)))
-            if defect > 1e-10:
-                raise ValueError(f"dense eigenbasis not unitary: defect {defect:.2e}")
-            object.__setattr__(self, "dense_basis", db)
         ev.setflags(write=False)
         ci.setflags(write=False)
         object.__setattr__(self, "eigenvalues", ev)
@@ -94,19 +62,13 @@ class HamiltonianSpec:
         self.factorization
 
     @classmethod
-    def from_spectrum(
-        cls,
-        eigenvalues,
-        label: str,
-        basis: np.ndarray | None = None,
-    ) -> "HamiltonianSpec":
+    def from_spectrum(cls, eigenvalues, label: str) -> "HamiltonianSpec":
         ev = np.asarray(eigenvalues, dtype=np.float64)
         order = np.argsort(ev, kind="stable")
         return cls(
             eigenvalues=ev[order],
             factor_labels=(label,),
             factor_dims=(ev.shape[0],),
-            factor_bases=(None if basis is None else np.asarray(basis, complex),),
             column_indices=order.reshape(-1, 1),
             label=label,
         )
@@ -119,98 +81,16 @@ class HamiltonianSpec:
     def factorization(self) -> SpaceFactorization:
         return SpaceFactorization(self.factor_labels, self.factor_dims)
 
-    @property
-    def has_computational_bases(self) -> bool:
-        if self.dense_basis is not None:
-            return False
-        return all(b is None for b in self.factor_bases)
-
     def flat_indices(self, ranks: np.ndarray) -> np.ndarray:
-        """Computational-basis positions of the given eigenvectors.
-
-        Only meaningful when every factor uses its computational basis, in
-        which case eigenvectors are one-hot at these row-major flat indices.
-        """
-        if not self.has_computational_bases:
-            raise ValueError("eigenbasis is not the computational basis")
+        """Row-major flat indices at which the given eigenvectors are one-hot."""
         cols = self.column_indices[np.asarray(ranks)]
         return np.ravel_multi_index(tuple(cols.T), self.factor_dims)
 
-    def eigenvector_columns(self, ranks) -> np.ndarray:
-        """Dense (dim, k) array of the eigenvectors at the given sorted ranks."""
-        ranks = np.atleast_1d(np.asarray(ranks, dtype=np.int64))
-        if self.dense_basis is not None:
-            return self.dense_basis[:, ranks]
-        if self.has_computational_bases:
-            q = np.zeros((self.dim, ranks.shape[0]), dtype=np.complex128)
-            q[self.flat_indices(ranks), np.arange(ranks.shape[0])] = 1.0
-            return q
-        cols = []
-        for m in ranks:
-            parts = []
-            for k, basis in enumerate(self.factor_bases):
-                idx = self.column_indices[m, k]
-                if basis is None:
-                    e = np.zeros(self.factor_dims[k], dtype=np.complex128)
-                    e[idx] = 1.0
-                    parts.append(e)
-                else:
-                    parts.append(basis[:, idx])
-            cols.append(reduce(np.kron, parts))
-        return np.stack(cols, axis=1)
 
-    def eigenbasis(self) -> OrthonormalBasis:
-        """Dense eigenbasis; materializes a dim x dim matrix."""
-        return OrthonormalBasis(
-            self.eigenvector_columns(np.arange(self.dim)), self.label
-        )
-
-
-def build_composite(
-    a: HamiltonianSpec,
-    b: HamiltonianSpec,
-    perturbation: np.ndarray | None = None,
-) -> HamiltonianSpec:
-    """Composite of two Hamiltonians on the tensor-product space.
-
-    Without a perturbation the coupling is zero: every eigenvalue is a
-    pairwise sum and every eigenvector a product of factor eigenvectors,
-    re-sorted ascending.  A ``perturbation`` is an optional Hermitian
-    coupling matrix on the composite space (row-major order, ``a`` before
-    ``b``); it triggers a dense diagonalization, so that path only suits
-    modest total dimensions.  No standard pipeline passes one.
-    """
-    if perturbation is not None:
-        pert = np.asarray(perturbation, dtype=np.complex128)
-        total = a.dim * b.dim
-        if pert.shape != (total, total):
-            raise ValueError(
-                f"perturbation shape {pert.shape} does not match composite "
-                f"dimension {total}"
-            )
-        if np.max(np.abs(pert - pert.conj().T)) > 1e-10:
-            raise ValueError("perturbation must be Hermitian")
-        qa = a.eigenvector_columns(np.arange(a.dim))
-        qb = b.eigenvector_columns(np.arange(b.dim))
-        ha = (qa * a.eigenvalues) @ qa.conj().T
-        hb = (qb * b.eigenvalues) @ qb.conj().T
-        dense = (
-            np.kron(ha, np.eye(b.dim))
-            + np.kron(np.eye(a.dim), hb)
-            + pert
-        )
-        w, v = np.linalg.eigh(dense)
-        return HamiltonianSpec(
-            eigenvalues=w,
-            factor_labels=a.factor_labels + b.factor_labels,
-            factor_dims=a.factor_dims + b.factor_dims,
-            factor_bases=(None,) * (len(a.factor_dims) + len(b.factor_dims)),
-            column_indices=np.zeros(
-                (total, len(a.factor_dims) + len(b.factor_dims)), dtype=np.int64
-            ),
-            label=f"{a.label}+{b.label}",
-            dense_basis=v,
-        )
+def build_composite(a: HamiltonianSpec, b: HamiltonianSpec) -> HamiltonianSpec:
+    """Noninteracting composite of two Hamiltonians on the tensor-product
+    space (``a`` before ``b``): every eigenvalue is a pairwise sum and every
+    eigenvector a product of factor eigenvectors, re-sorted ascending."""
     sums = np.add.outer(a.eigenvalues, b.eigenvalues).reshape(-1)
     order = np.argsort(sums, kind="stable")
     ia, ib = np.divmod(order, b.dim)
@@ -221,7 +101,6 @@ def build_composite(
         eigenvalues=sums[order],
         factor_labels=a.factor_labels + b.factor_labels,
         factor_dims=a.factor_dims + b.factor_dims,
-        factor_bases=a.factor_bases + b.factor_bases,
         column_indices=column_indices,
         label=f"{a.label}+{b.label}",
     )
@@ -265,14 +144,9 @@ def canonical_mean_energy(h: HamiltonianSpec, beta: float) -> float:
 
 def canonical_density_matrix(h: HamiltonianSpec, beta: float) -> DensityMatrix:
     """rho_beta = exp(-beta H)/Z on the factorized space of H."""
-    w = _boltzmann_weights(h, beta)
-    if h.has_computational_bases:
-        diag = np.zeros(h.dim, dtype=np.float64)
-        diag[h.flat_indices(np.arange(h.dim))] = w
-        entries = np.diag(diag).astype(np.complex128)
-    else:
-        q = h.eigenvector_columns(np.arange(h.dim))
-        entries = (q * w) @ q.conj().T
+    diag = np.zeros(h.dim, dtype=np.float64)
+    diag[h.flat_indices(np.arange(h.dim))] = _boltzmann_weights(h, beta)
+    entries = np.diag(diag).astype(np.complex128)
     return DensityMatrix(entries, h.factorization, check_psd=False)
 
 
@@ -363,9 +237,6 @@ class EnergyShell:
     def midpoint_energy(self) -> float:
         return self.energy + 0.5 * self.delta
 
-    def basis_columns(self) -> np.ndarray:
-        return self.hamiltonian.eigenvector_columns(self.member_ranks)
-
 
 def energy_shell(h: HamiltonianSpec, energy: float, delta: float) -> EnergyShell:
     """Members of [energy, energy + delta) among the sorted eigenvalues."""
@@ -386,14 +257,9 @@ def microcanonical(
 ) -> tuple[EnergyShell, DensityMatrix]:
     """The shell and the normalized projector onto it."""
     shell = energy_shell(h, energy, delta)
-    k = shell.shell_dim
-    if h.has_computational_bases:
-        diag = np.zeros(h.dim, dtype=np.float64)
-        diag[h.flat_indices(shell.member_ranks)] = 1.0 / k
-        entries = np.diag(diag).astype(np.complex128)
-    else:
-        q = shell.basis_columns()
-        entries = (q @ q.conj().T) / k
+    diag = np.zeros(h.dim, dtype=np.float64)
+    diag[h.flat_indices(shell.member_ranks)] = 1.0 / shell.shell_dim
+    entries = np.diag(diag).astype(np.complex128)
     return shell, DensityMatrix(entries, h.factorization, check_psd=False)
 
 
@@ -409,12 +275,8 @@ def sample_shell_state(stream_or_rng, shell: EnergyShell, size: int | None = Non
     z = complex_normals(rng, (n, k))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     h = shell.hamiltonian
-    if h.has_computational_bases:
-        states = np.zeros((n, h.dim), dtype=np.complex128)
-        states[:, h.flat_indices(shell.member_ranks)] = z
-    else:
-        states = z @ shell.basis_columns().T
-        states /= np.linalg.norm(states, axis=1, keepdims=True)
+    states = np.zeros((n, h.dim), dtype=np.complex128)
+    states[:, h.flat_indices(shell.member_ranks)] = z
     if size is None:
         return StateVector(states[0], h.factorization, normalized=True)
     return states
@@ -451,18 +313,15 @@ def synth_bath_spectrum(
     model: str,
     scale: float = 1.0,
     label: str = "B",
-    basis: str = "identity",
 ) -> HamiltonianSpec:
-    """Synthetic bath Hamiltonian with a chosen level-statistics model.
+    """Synthetic bath Hamiltonian with a chosen level-statistics model,
+    diagonal in the computational basis.
 
     ``equal_spaced``: arithmetic progression 0, scale, 2*scale, ...
     ``poisson_gaps``: level 0 at zero, then i.i.d. exponential gaps with
-    mean ``scale``.
+    mean ``scale``; the only model that draws from the stream.
     ``semicircle``: deterministic quantiles of the semicircle law with
     radius ``scale``, symmetric about zero.
-
-    ``basis`` selects the eigenbasis: the computational basis, or a Haar
-    unitary drawn from the stream.
     """
     if model not in SPECTRUM_MODELS:
         raise ValueError(f"unknown spectrum model {model!r}; use {SPECTRUM_MODELS}")
@@ -470,27 +329,16 @@ def synth_bath_spectrum(
         raise ValueError("dim must be positive")
     if scale < 0:
         raise ValueError("scale must be nonnegative")
-    # One generator for the whole call, so gap draws and a Haar eigenbasis
-    # come from a single stream rather than two restarts of the same seed.
-    rng = None if stream_or_rng is None else _rng_of(stream_or_rng)
     if model == "equal_spaced":
         ev = scale * np.arange(dim, dtype=np.float64)
     elif model == "poisson_gaps":
-        if rng is None:
+        if stream_or_rng is None:
             raise ValueError("poisson_gaps requires a random stream")
+        rng = _rng_of(stream_or_rng)
         gaps = rng.exponential(scale, size=dim - 1) if dim > 1 else np.empty(0)
         ev = np.concatenate([[0.0], np.cumsum(gaps)])
+    elif scale == 0:
+        ev = np.zeros(dim)
     else:
-        if scale == 0:
-            ev = np.zeros(dim)
-        else:
-            ev = _semicircle_quantiles(dim, scale)
-    if basis == "identity":
-        b = None
-    elif basis == "haar":
-        if rng is None:
-            raise ValueError("a haar eigenbasis requires a random stream")
-        b = sample_haar_unitary(rng, dim)
-    else:
-        raise ValueError(f"unknown basis choice {basis!r}")
-    return HamiltonianSpec.from_spectrum(ev, label=label, basis=b)
+        ev = _semicircle_quantiles(dim, scale)
+    return HamiltonianSpec.from_spectrum(ev, label=label)

@@ -1,10 +1,13 @@
-"""Every runtime dependency that pyproject.toml declares can be imported."""
+"""pyproject.toml agrees with the package: every declared runtime dependency
+can be imported, and the declared version is ``gaplab.__version__``."""
 
 import importlib
 import re
 from pathlib import Path
 
 import pytest
+
+import gaplab
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -14,12 +17,20 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 IMPORT_NAMES = {"pyyaml": "yaml"}
 
 
-def _declared():
+def _project():
     with PYPROJECT.open("rb") as fh:
-        deps = tomllib.load(fh)["project"]["dependencies"]
+        return tomllib.load(fh)["project"]
+
+
+def _declared():
+    deps = _project()["dependencies"]
     return [re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps]
 
 
 @pytest.mark.parametrize("dist", _declared())
 def test_declared_dependency_imports(dist):
     importlib.import_module(IMPORT_NAMES.get(dist, dist.replace("-", "_")))
+
+
+def test_package_version_matches_pyproject():
+    assert gaplab.__version__ == _project()["version"]

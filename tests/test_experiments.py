@@ -6,6 +6,7 @@ import pytest
 from gaplab.ensembles import (
     RandomStream,
     sample_complex_gaussian,
+    sample_d,
     sample_gap,
     sample_uniform_sphere,
 )
@@ -20,6 +21,7 @@ from gaplab.experiments import (
     estimate_density_matrix,
     fixed_probes,
     heredity_check,
+    ks_pvalue,
     named_rho,
     probe_marginals,
     run_canonical_typicality,
@@ -105,6 +107,29 @@ class TestNamedRho:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown"):
             named_rho("thermal_42")
+
+
+class TestProbeKsPower:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gp_passed_off_as_gap_fails(self, seed):
+        # Negative control for the marginal_ks checks of
+        # gap_definition_equivalence: normalized rows of sqrt(dim rho) times
+        # a uniform sphere draw are GP(rho), the Gaussian ensemble projected
+        # without the norm-square adjustment.  At the shipped sample size
+        # and probes, every probe must reject it against GAP(rho) at the
+        # shipped Bonferroni level, alpha 0.01 over 93 tests (3 states, 6
+        # sampler pairs x 5 probes + 1 norm test each).
+        cfg = GapEquivalenceConfig()
+        threshold = cfg.alpha / 93
+        rho = named_rho("spiked_2")
+        probes = fixed_probes(rho.dim, cfg.probe_count)
+        gp = sample_d(RandomStream(seed, 0), rho, size=cfg.ks_samples)
+        gp /= np.linalg.norm(gp, axis=1, keepdims=True)
+        gap = sample_gap(RandomStream(seed, 1), rho, size=cfg.ks_samples)
+        a = probe_marginals(gp, probes)
+        b = probe_marginals(gap.amplitudes, probes)
+        pvalues = [ks_pvalue(a[m], b[m]) for m in range(cfg.probe_count)]
+        assert max(pvalues) < threshold
 
 
 class TestGaussianNormMoments:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+import gaplab
 from gaplab.experiments import (
     SurrogateConfig,
     run_gaussian_surrogate_concentration,
@@ -392,6 +393,18 @@ class TestFreshInterpreter:
         assert out.returncode == 0, out.stderr
         assert "gaussian_surrogate" in out.stdout
         assert "RuntimeWarning" not in out.stderr
+
+    def test_run_records_package_version(self, run_python, tmp_path):
+        # From a source checkout no distribution metadata exists; the
+        # report must still name the version.
+        cfg = write_yaml(tmp_path, TINY_SURROGATE)
+        out_dir = str(tmp_path / "out")
+        out = run_python("-m", "gaplab", "run", "--config", cfg, "--out-dir", out_dir)
+        assert out.returncode == 0, out.stderr
+        path = os.path.join(out_dir, "gaussian_surrogate-seed9", "report.json")
+        with open(path) as fh:
+            env = json.load(fh)
+        assert env["volatile"]["package_version"] == gaplab.__version__
 
     def test_import_leaves_scipy_stats_unloaded(self, run_python):
         # Neither SciPy nor jsonschema may load before a statistical test or

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from gaplab.ensembles import RandomStream, sample_haar_unitary
+from gaplab.ensembles import RandomStream
 from gaplab.experiments import EXPERIMENTS
 from gaplab.hilbert import trace_distance
 from gaplab.runner import load_run_config
@@ -31,8 +31,8 @@ from gaplab.thermal import (
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
-def flat_spec(values, label="H", basis=None):
-    return HamiltonianSpec.from_spectrum(values, label=label, basis=basis)
+def flat_spec(values, label="H"):
+    return HamiltonianSpec.from_spectrum(values, label=label)
 
 
 class TestHamiltonianSpec:
@@ -40,7 +40,7 @@ class TestHamiltonianSpec:
         h = flat_spec([2.0, 0.0, 1.0], label="A")
         assert np.allclose(h.eigenvalues, [0.0, 1.0, 2.0])
         # rank 0 is the eigenvector for the original index 1
-        assert np.allclose(h.eigenvector_columns(0)[:, 0], [0, 1, 0])
+        assert list(h.flat_indices([0])) == [1]
 
     def test_unsorted_direct_construction_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
@@ -48,25 +48,9 @@ class TestHamiltonianSpec:
                 eigenvalues=np.array([1.0, 0.0]),
                 factor_labels=("A",),
                 factor_dims=(2,),
-                factor_bases=(None,),
                 column_indices=np.array([[0], [1]]),
                 label="A",
             )
-
-    def test_flat_indices_requires_computational(self):
-        u = sample_haar_unitary(RandomStream(1), 2)
-        h = flat_spec([0.0, 1.0], basis=u)
-        with pytest.raises(ValueError):
-            h.flat_indices(np.array([0]))
-
-    def test_eigenbasis_diagonalizes(self):
-        rng = np.random.default_rng(2)
-        u = sample_haar_unitary(rng, 4)
-        ev = np.sort(rng.standard_normal(4))
-        h = flat_spec(ev, basis=u)
-        q = h.eigenbasis().vectors
-        dense = (q * ev) @ q.conj().T
-        assert np.max(np.abs(q.conj().T @ dense @ q - np.diag(ev))) < 1e-10
 
 
 class TestBuildComposite:
@@ -78,56 +62,17 @@ class TestBuildComposite:
         assert comp.factorization.labels == ("A", "B")
 
     def test_dense_kronecker_sum_oracle(self):
-        # Eigenvalues and eigenvectors must match a dense diagonalization of
-        # H_a (x) I + I (x) H_b for nontrivial factor bases.
+        # The diagonal of H_a (x) I + I (x) H_b, read at each rank's flat
+        # index, must give the sorted composite spectrum, for unsorted
+        # factor spectra (a permutation of the computational basis).
         rng = np.random.default_rng(3)
-        ua = sample_haar_unitary(rng, 3)
-        ub = sample_haar_unitary(rng, 4)
-        ev_a = np.sort(rng.standard_normal(3))
-        ev_b = np.sort(rng.standard_normal(4))
-        a = flat_spec(ev_a, label="A", basis=ua)
-        b = flat_spec(ev_b, label="B", basis=ub)
-        comp = build_composite(a, b)
-        ha = (ua * ev_a) @ ua.conj().T
-        hb = (ub * ev_b) @ ub.conj().T
-        dense = np.kron(ha, np.eye(4)) + np.kron(np.eye(3), hb)
-        assert np.allclose(comp.eigenvalues, np.linalg.eigvalsh(dense), atol=1e-10)
-        q = comp.eigenvector_columns(np.arange(12))
-        assert np.max(np.abs(q.conj().T @ dense @ q - np.diag(comp.eigenvalues))) < 1e-9
-
-    def test_perturbation_matches_dense_oracle(self):
-        rng = np.random.default_rng(4)
-        a = flat_spec([0.0, 1.0], label="A")
-        b = flat_spec([0.0, 0.4, 1.1], label="B")
-        k = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        k = 0.05 * (k + k.conj().T)
-        comp = build_composite(a, b, perturbation=k)
-        dense = (
-            np.kron(np.diag([0.0, 1.0]), np.eye(3))
-            + np.kron(np.eye(2), np.diag([0.0, 0.4, 1.1]))
-            + k
-        )
-        w = np.linalg.eigvalsh(dense)
-        assert np.allclose(comp.eigenvalues, w, atol=1e-10)
-        q = comp.eigenvector_columns(np.arange(6))
-        assert np.max(np.abs(q.conj().T @ dense @ q - np.diag(w))) < 1e-9
-        # factorization survives, so downstream partial traces stay usable
-        assert comp.factorization.dims == (2, 3)
-
-    def test_zero_perturbation_matches_plain(self):
-        a = flat_spec([0.0, 1.0], label="A")
-        b = flat_spec([0.0, 0.5], label="B")
-        plain = build_composite(a, b)
-        pert = build_composite(a, b, perturbation=np.zeros((4, 4)))
-        assert np.allclose(plain.eigenvalues, pert.eigenvalues, atol=1e-12)
-
-    def test_perturbation_validation(self):
-        a = flat_spec([0.0, 1.0], label="A")
-        b = flat_spec([0.0, 1.0], label="B")
-        with pytest.raises(ValueError, match="Hermitian"):
-            build_composite(a, b, perturbation=np.triu(np.ones((4, 4)), k=1))
-        with pytest.raises(ValueError, match="shape"):
-            build_composite(a, b, perturbation=np.zeros((3, 3)))
+        ev_a = rng.standard_normal(3)
+        ev_b = rng.standard_normal(4)
+        comp = build_composite(flat_spec(ev_a, "A"), flat_spec(ev_b, "B"))
+        dense = np.kron(np.diag(ev_a), np.eye(4)) + np.kron(np.eye(3), np.diag(ev_b))
+        diag = np.diag(dense)[comp.flat_indices(np.arange(12))]
+        assert np.array_equal(diag, comp.eigenvalues)
+        assert np.allclose(comp.eigenvalues, np.linalg.eigvalsh(dense), atol=1e-12)
 
 
 class TestPartitionFunction:
@@ -195,15 +140,19 @@ class TestCanonicalEnsemble:
         z = 1.0 + math.exp(-1)
         assert np.allclose(rho.entries, np.diag([1.0 / z, math.exp(-1) / z]))
 
-    def test_rotated_basis(self):
+    @pytest.mark.parametrize("beta", [0.0, 0.8, -1.3, 4.0])
+    def test_composite_is_product_of_factor_states(self, beta):
+        # Noninteracting composite: rho_beta(A+B) = rho_beta(A) (x) rho_beta(B)
+        # in row-major order, which pins the flat index of every rank.
         rng = np.random.default_rng(5)
-        u = sample_haar_unitary(rng, 3)
-        ev = np.array([0.0, 0.5, 2.0])
-        h = flat_spec(ev, basis=u)
-        rho = canonical_density_matrix(h, 0.8)
-        w = np.exp(-0.8 * ev)
-        w /= w.sum()
-        assert np.max(np.abs(rho.entries - (u * w) @ u.conj().T)) < 1e-12
+        a = flat_spec(rng.uniform(0, 2, size=3), label="A")
+        b = flat_spec(rng.uniform(0, 2, size=4), label="B")
+        rho = canonical_density_matrix(build_composite(a, b), beta)
+        expect = np.kron(
+            canonical_density_matrix(a, beta).entries,
+            canonical_density_matrix(b, beta).entries,
+        )
+        assert np.max(np.abs(rho.entries - expect)) < 1e-12
 
     def test_mean_energy_at_beta_zero(self):
         h = flat_spec([0.0, 1.0, 5.0])
@@ -306,28 +255,26 @@ class TestMicrocanonical:
         assert np.allclose(rho.entries, np.diag([0.0, 1.0, 0.0]))
 
     def test_filter_and_project_oracle(self):
+        # Unsorted spectrum: the projector sits on the kept original indices.
         rng = np.random.default_rng(7)
-        u = sample_haar_unitary(rng, 6)
-        ev = np.sort(rng.uniform(0, 4, size=6))
-        h = flat_spec(ev, basis=u)
+        ev = rng.uniform(0, 4, size=6)
+        h = flat_spec(ev)
         lo, width = 1.0, 1.5
         shell, rho = microcanonical(h, lo, width)
         keep = (ev >= lo) & (ev < lo + width)
         assert shell.shell_dim == int(keep.sum())
-        cols = u[:, keep]
-        expect = cols @ cols.conj().T / keep.sum()
+        expect = np.diag(keep / keep.sum())
         assert np.max(np.abs(rho.entries - expect)) < 1e-12
 
 
 class TestSampleShellState:
     def test_singleton_shell_reproduces_eigenvector(self):
-        rng = np.random.default_rng(8)
-        u = sample_haar_unitary(rng, 4)
-        h = flat_spec([0.0, 1.0, 2.0, 3.0], basis=u)
+        # The level 1.0 sits at original index 3 of an unsorted spectrum.
+        h = flat_spec([2.0, 0.0, 3.0, 1.0])
         shell = energy_shell(h, 0.5, 1.0)
         sv = sample_shell_state(RandomStream(30), shell)
-        overlap = abs(np.vdot(u[:, 1], sv.amplitudes))
-        assert abs(overlap - 1.0) < 1e-12
+        assert abs(abs(sv.amplitudes[3]) - 1.0) < 1e-12
+        assert np.all(np.delete(sv.amplitudes, 3) == 0)
 
     def test_no_leakage_outside_shell(self):
         h = flat_spec(np.arange(8.0), label="B")
@@ -374,13 +321,6 @@ class TestSynthBathSpectrum:
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="model"):
             synth_bath_spectrum(None, 4, "wigner")
-
-    def test_haar_basis(self):
-        h = synth_bath_spectrum(
-            RandomStream(34), 5, "equal_spaced", basis="haar"
-        )
-        q = h.eigenvector_columns(np.arange(5))
-        assert np.max(np.abs(q.conj().T @ q - np.eye(5))) < 1e-10
 
 
 class TestBathSeriesTypicality:
