@@ -244,6 +244,33 @@ def sample_d(stream_or_rng, rho: DensityMatrix, size: int | None = None):
     return samples
 
 
+# Largest row block of a rejection sampler's proposal batch, in bytes.  A
+# batch is about 1.3 * cap * size rows in rejection_oracle_ga (42 MB at
+# dim 4, size 1e4, cap 50); glibc's malloc serves every request above 32 MiB
+# with a fresh mmap, so one array that size adds to whatever freed heap
+# memory happens to be resident instead of reusing it, and peak RSS then
+# varies from run to run.
+_BLOCK_BYTES = 8 << 20
+
+
+def _normal_blocks(rng: np.random.Generator, n: int, d: int, scale=1.0) -> list:
+    """``complex_normals(rng, (n, d), scale)`` as a list of row blocks of at
+    most ``_BLOCK_BYTES``: the same draws, bit for bit, in the same generator
+    order (all real parts, then all imaginary parts)."""
+    step = max(1, _BLOCK_BYTES // (16 * d))
+    blocks = [
+        np.empty((min(step, n - start), d), dtype=np.complex128)
+        for start in range(0, n, step)
+    ]
+    buf = np.empty(blocks[0].shape)
+    for part in ("real", "imag"):
+        for block in blocks:
+            draw = buf[: len(block)]
+            rng.standard_normal(out=draw)
+            np.multiply(draw, scale, out=getattr(block, part))
+    return blocks
+
+
 def _accept_biased_sphere(
     rng: np.random.Generator, weights_of, dim: int, bound: float, n: int
 ) -> np.ndarray:
@@ -255,15 +282,23 @@ def _accept_biased_sphere(
     while count < n:
         need = n - count
         chunk = max(256, int(1.6 * need / expected_rate) + 16)
-        z = complex_normals(rng, (chunk, dim))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        w = weights_of(z)
-        if np.any(w > bound * (1 + 1e-9)):
-            raise RuntimeError("rejection bound violated; bound does not dominate")
-        keep = rng.uniform(0.0, 1.0, size=chunk) * bound < w
-        accepted = z[keep]
-        have.append(accepted)
-        count += accepted.shape[0]
+        # The batch is complex_normals(rng, (chunk, dim)) in row blocks, so
+        # the norms' and weights' temporaries are block-sized, and each
+        # block is freed once its rows are accepted.  Every step acts row by
+        # row, so the rows are the same bits as unblocked.
+        blocks = _normal_blocks(rng, chunk, dim)
+        thresholds = rng.uniform(0.0, 1.0, size=chunk) * bound
+        start = 0
+        while blocks:
+            z = blocks.pop(0)
+            z /= np.linalg.norm(z, axis=1, keepdims=True)
+            w = weights_of(z)
+            if np.any(w > bound * (1 + 1e-9)):
+                raise RuntimeError("rejection bound violated; bound does not dominate")
+            accepted = z[thresholds[start : start + len(z)] < w]
+            have.append(accepted)
+            count += accepted.shape[0]
+            start += len(z)
     return np.concatenate(have, axis=0)[:n]
 
 
@@ -337,34 +372,6 @@ class RejectionOracleResult:
         return GapSampleBatch(s, self.source_rho, "rejection_oracle")
 
 
-# Largest row block of rejection_oracle_ga's proposal batch, in bytes.  A
-# batch is about 1.3 * cap * size rows (42 MB at dim 4, size 1e4, cap 50);
-# glibc's malloc serves every request above 32 MiB with a fresh mmap, so
-# one array that size adds to whatever freed heap memory happens to be
-# resident instead of reusing it, and peak RSS then varies from run to run.
-_PROPOSAL_BLOCK_BYTES = 8 << 20
-
-
-def _proposal_blocks(rng: np.random.Generator, p: np.ndarray, n: int) -> list:
-    """``sample_complex_gaussian(rng, p, size=n)`` as a list of row blocks of
-    at most ``_PROPOSAL_BLOCK_BYTES``: the same draws, bit for bit, in the
-    same generator order (all real parts, then all imaginary parts)."""
-    d = p.shape[0]
-    step = max(1, _PROPOSAL_BLOCK_BYTES // (16 * d))
-    blocks = [
-        np.empty((min(step, n - start), d), dtype=np.complex128)
-        for start in range(0, n, step)
-    ]
-    buf = np.empty(blocks[0].shape)
-    scale = np.sqrt(p / 2.0)
-    for part in ("real", "imag"):
-        for block in blocks:
-            draw = buf[: len(block)]
-            rng.standard_normal(out=draw)
-            np.multiply(draw, scale, out=getattr(block, part))
-    return blocks
-
-
 def rejection_oracle_ga(
     stream_or_rng, rho: DensityMatrix, cap: float = 50.0, size: int = 1
 ) -> RejectionOracleResult:
@@ -386,7 +393,7 @@ def rejection_oracle_ga(
     while count < size:
         need = size - count
         chunk = max(512, int(1.3 * need * cap) + 16)
-        blocks = _proposal_blocks(rng, p, chunk)
+        blocks = _normal_blocks(rng, chunk, p.shape[0], np.sqrt(p / 2.0))
         thresholds = rng.uniform(0.0, 1.0, size=chunk) * cap
         proposals += chunk
         start = 0

@@ -53,6 +53,7 @@ from .hilbert import (
     trace_distance,
 )
 from .parallel import run_trials
+from .stattests import anderson_normal, ks_2samp
 from .thermal import (
     SPECTRUM_MODELS,
     EnergyShell,
@@ -250,12 +251,8 @@ def probe_marginals(vectors: np.ndarray, probes: np.ndarray) -> np.ndarray:
 
 
 def ks_pvalue(a: np.ndarray, b: np.ndarray) -> float:
-    # `import gaplab` loads numpy, pyyaml and the standard library only;
-    # anything else (scipy.stats here, jsonschema in the runner) is imported
-    # at its first use.  Loading and validating configs needs neither.
-    from scipy import stats
-
-    return float(stats.ks_2samp(a, b, method="asymp").pvalue)
+    """Two-sided two-sample KS p-value (asymptotic, as SciPy's ``asymp``)."""
+    return ks_2samp(a, b)[1]
 
 
 def estimate_density_matrix(samples, factorization=None) -> DensityMatrix:
@@ -1304,21 +1301,19 @@ def run_gaussian_surrogate_concentration(
     # Normality is checked on the normalized values: dividing by the squared
     # norm cancels the shared fluctuation that dominates the skewness of the
     # raw values, which is what makes the Gaussian limit visible here.
-    # SciPy interpolates the p-value in its critical-value table and clips
-    # it to [0.01, 0.15], so a statistic beyond the 1% critical value reads
+    # The p-value is interpolated in a critical-value table and clamped to
+    # [0.01, 0.15], so a statistic beyond the 1% critical value reads
     # exactly 0.01: the check passes only strictly above that level.
-    from scipy import stats
-
-    sub = vals[0, : config.ad_subsample]
-    ad = stats.anderson(sub, dist="norm", method="interpolate")
-    statistics["anderson_darling_stat"] = float(ad.statistic)
+    ad_stat, ad_pvalue = anderson_normal(vals[0, : config.ad_subsample])
+    statistics["anderson_darling_stat"] = ad_stat
     checks.append(
         _above_check(
             "probe_values_normality",
-            float(ad.pvalue),
+            ad_pvalue,
             0.01,
-            "significance-level (1%, interpolated p-value, "
-            f"subsample {config.ad_subsample})",
+            "significance-level (1% nominal, interpolated p-value, "
+            f"subsample {config.ad_subsample}; at the reference config it "
+            "failed 52 of 3000 seeds, 1.73%, 95% CI 1.30-2.27%)",
         )
     )
 

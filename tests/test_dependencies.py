@@ -1,5 +1,6 @@
-"""pyproject.toml agrees with the package: every declared runtime dependency
-can be imported, and the declared version is ``gaplab.__version__``."""
+"""pyproject.toml agrees with the package: every declared dependency, runtime
+or ``dev``, can be imported where the tests run, SciPy is a test-only
+dependency, and the declared version is ``gaplab.__version__``."""
 
 import importlib
 import re
@@ -22,14 +23,27 @@ def _project():
         return tomllib.load(fh)["project"]
 
 
-def _declared():
-    deps = _project()["dependencies"]
+def _names(deps):
     return [re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps]
 
 
-@pytest.mark.parametrize("dist", _declared())
+def _runtime():
+    return _names(_project()["dependencies"])
+
+
+def _dev():
+    return _names(_project()["optional-dependencies"]["dev"])
+
+
+@pytest.mark.parametrize("dist", _runtime() + _dev())
 def test_declared_dependency_imports(dist):
     importlib.import_module(IMPORT_NAMES.get(dist, dist.replace("-", "_")))
+
+
+def test_scipy_is_a_test_only_dependency():
+    # Runs use gaplab.stattests; only the tests that pin it import SciPy.
+    assert "scipy" in _dev()
+    assert "scipy" not in _runtime()
 
 
 def test_package_version_matches_pyproject():

@@ -221,6 +221,26 @@ class TestGapSamplers:
         assert np.max(np.abs(np.abs(batch.amplitudes[:, 0]) - 1.0)) < 1e-12
         assert np.max(np.abs(batch.amplitudes[:, 1])) < 1e-12
 
+    @pytest.mark.parametrize(
+        "sampler", [sample_gap_via_dap, sample_gap_via_purification]
+    )
+    def test_rejection_samplers_independent_of_block_size(
+        self, sampler, monkeypatch
+    ):
+        # The sphere proposals are normalized, weighted and accepted in row
+        # blocks; any block size gives the same rows, bit for bit, and
+        # leaves the generator where one block would.
+        rho = diag_rho([0.6, 0.3, 0.1])
+        rng_one = RandomStream(18).generator()
+        one = sampler(rng_one, rho, size=3_000)
+        monkeypatch.setattr(ens, "_BLOCK_BYTES", 16 * 3 * 100)
+        rng_many = RandomStream(18).generator()
+        many = sampler(rng_many, rho, size=3_000)
+        assert np.array_equal(
+            many.amplitudes.view(np.float64), one.amplitudes.view(np.float64)
+        )
+        assert rng_many.bit_generator.state == rng_one.bit_generator.state
+
     @pytest.mark.parametrize("tag", sorted(GAP_SAMPLERS))
     def test_single_draw_is_batch_of_one(self, tag):
         sampler = GAP_SAMPLERS[tag]
@@ -314,12 +334,12 @@ class TestRejectionOracle:
     def test_starvation_guard(self, monkeypatch):
         # Shrink every proposal so the acceptance weight collapses; the
         # guard must fire rather than loop forever.
-        real = ens._proposal_blocks
+        real = ens._normal_blocks
 
-        def tiny(rng, p, n):
-            return [1e-6 * block for block in real(rng, p, n)]
+        def tiny(rng, n, d, scale=1.0):
+            return [1e-6 * block for block in real(rng, n, d, scale)]
 
-        monkeypatch.setattr(ens, "_proposal_blocks", tiny)
+        monkeypatch.setattr(ens, "_normal_blocks", tiny)
         with pytest.raises(AcceptanceStarvationError):
             rejection_oracle_ga(RandomStream(24), diag_rho([0.5, 0.5]), size=10)
 
@@ -330,8 +350,8 @@ class TestRejectionOracle:
         rng_a = RandomStream(25).generator()
         rng_b = RandomStream(25).generator()
         whole = sample_complex_gaussian(rng_a, p, size=1_000)
-        monkeypatch.setattr(ens, "_PROPOSAL_BLOCK_BYTES", 16 * p.size * 7)
-        blocks = ens._proposal_blocks(rng_b, p, 1_000)
+        monkeypatch.setattr(ens, "_BLOCK_BYTES", 16 * p.size * 7)
+        blocks = ens._normal_blocks(rng_b, 1_000, p.size, np.sqrt(p / 2.0))
         assert [len(b) for b in blocks] == [7] * 142 + [6]
         joined = np.concatenate(blocks)
         assert np.array_equal(joined.view(np.float64), whole.view(np.float64))
@@ -340,7 +360,7 @@ class TestRejectionOracle:
     def test_result_independent_of_block_size(self, monkeypatch):
         rho = diag_rho([0.5, 0.3, 0.2])
         one = rejection_oracle_ga(RandomStream(26), rho, cap=50.0, size=500)
-        monkeypatch.setattr(ens, "_PROPOSAL_BLOCK_BYTES", 16 * 3 * 1_000)
+        monkeypatch.setattr(ens, "_BLOCK_BYTES", 16 * 3 * 1_000)
         many = rejection_oracle_ga(RandomStream(26), rho, cap=50.0, size=500)
         assert np.array_equal(
             many.samples.view(np.float64), one.samples.view(np.float64)

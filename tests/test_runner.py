@@ -407,8 +407,9 @@ class TestFreshInterpreter:
         assert env["volatile"]["package_version"] == gaplab.__version__
 
     def test_import_leaves_scipy_stats_unloaded(self, run_python):
-        # Neither SciPy nor jsonschema may load before a statistical test or
-        # a report needs it: not at import, not for a config, not in validate.
+        # Neither SciPy nor jsonschema may load at import, for a config or
+        # in validate; jsonschema loads at a run's first report, SciPy never
+        # (see TestRunPathImports).
         configs = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.yaml")))
         assert len(configs) == 6
         child = (
@@ -430,6 +431,53 @@ class TestFreshInterpreter:
         out = run_python("-c", child, *configs)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == ["[]", "[]", "[]"]
+
+
+# Small variants of every experiment.  Each KS test compares samples of 400
+# or more, so its p-value is evaluated at n > 140, the branches the reference
+# configs reach.
+RUN_PATH_CONFIGS = {
+    "canonical_typicality": {
+        "bath_dim": 128, "shell_width": 60.0, "n_draws": 20, "min_shell_dim": 50,
+    },
+    "conditional_dm_concentration": {
+        "dim_s_values": [64], "n_trials": 50, "min_shell_dim": 50,
+    },
+    "gap_definition_equivalence": {
+        "rho_names": ["spiked_2"], "moment_samples": 2000, "ks_samples": 1000,
+    },
+    "gap_distribution": {
+        "bath_dim": 256, "shell_width": 50.0, "outer_trials": 10,
+        "inner_draws": 40, "heredity_samples": 1000, "min_shell_dim": 50,
+    },
+    "gaussian_surrogate": TINY_SURROGATE["config"],
+    "unitary_covariance": {"n_samples": 1000},
+}
+
+
+class TestRunPathImports:
+    @pytest.mark.parametrize("experiment", sorted(RUN_PATH_CONFIGS))
+    def test_run_leaves_scipy_unloaded(self, run_python, tmp_path, experiment):
+        # The KS and Anderson-Darling tests are gaplab.stattests; a whole
+        # run, report included, must not import SciPy.
+        assert set(RUN_PATH_CONFIGS) == set(gaplab.EXPERIMENTS)
+        cfg = write_yaml(
+            tmp_path,
+            {"experiment": experiment, "seed": 3,
+             "config": RUN_PATH_CONFIGS[experiment]},
+        )
+        child = (
+            "import contextlib, io, sys\n"
+            "from gaplab import runner\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = runner.main(['run', '--config', sys.argv[1],\n"
+            "                        '--out-dir', sys.argv[2]])\n"
+            "print(code)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = run_python("-c", child, cfg, str(tmp_path / "out"))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["0", "[]"]
 
 
 class TestRerunDeterminism:
