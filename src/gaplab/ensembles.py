@@ -431,21 +431,32 @@ def sample_haar_frames(stream_or_rng, dim: int, k: int, count: int) -> np.ndarra
     Each frame holds k orthonormal columns distributed like the first k
     columns of a Haar unitary: the Q factor of a dim x k complex Ginibre
     matrix, with the phases of R's diagonal absorbed so the factorization
-    is unique (Mezzadri, arXiv:math-ph/0609050).  The real parts of all
-    entries are drawn before the imaginary parts.
+    is unique (Mezzadri, arXiv:math-ph/0609050).  One stream or generator
+    draws the real parts of all entries before the imaginary parts; a
+    sequence of ``count`` generators draws frame i from the i-th alone.
+    LAPACK factors each matrix of the stack on its own, so a frame has the
+    same bits in any stack.
     """
     if not 1 <= k <= dim:
         raise ValueError(f"frame size {k} must lie in [1, {dim}]")
-    rng = _rng_of(stream_or_rng)
-    z = complex_normals(rng, (count, dim, k), 1.0 / math.sqrt(2.0))
+    scale = 1.0 / math.sqrt(2.0)
+    if isinstance(stream_or_rng, (RandomStream, np.random.Generator)):
+        z = complex_normals(_rng_of(stream_or_rng), (count, dim, k), scale)
+    else:
+        z = np.stack([complex_normals(g, (dim, k), scale) for g in stream_or_rng])
+        if len(z) != count:
+            raise ValueError(f"expected {count} generators, got {len(z)}")
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]
 
 
 def sample_haar_unitary(stream_or_rng, dim: int) -> np.ndarray:
-    """Haar-distributed unitary: a Haar frame with as many columns as rows."""
-    return sample_haar_frames(stream_or_rng, dim, dim, 1)[0]
+    """Haar-distributed unitary: a Haar frame with as many columns as rows;
+    for a sequence of generators, a stack with one unitary from each."""
+    if isinstance(stream_or_rng, (RandomStream, np.random.Generator)):
+        return sample_haar_frames(stream_or_rng, dim, dim, 1)[0]
+    return sample_haar_frames(stream_or_rng, dim, dim, len(stream_or_rng))
 
 
 def sample_haar_onb(stream_or_rng, dim: int, factor_label: str) -> OrthonormalBasis:

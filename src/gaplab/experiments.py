@@ -69,6 +69,11 @@ from .thermal import (
 
 AUX_STREAM_BASE = 1 << 40
 PROBE_SEED = 777_000_001
+# State bytes per block of conditional-DM trials, each block conditioned
+# with one batched QR and one batched rotation.  Larger blocks raise the
+# peak RSS: at 300 trials per dimension it read 0.3, 1.7 and 43 MB above
+# per-trial conditioning at 512 KiB, 1 MiB and 8 MiB.
+CDM_BLOCK_BYTES = 512 << 10
 DEFAULT_PROBE_COUNT = 5
 
 
@@ -850,7 +855,11 @@ def run_gap_distribution(
         marg = probe_marginals(cond, probes)  # (probes, m_inner)
         return dist, mean_outer, marg
 
-    dists, outers, margs = run_trials(trial, config.outer_trials, parallelism)
+    def trials(start: int, stop: int) -> tuple:
+        records = [trial(t) for t in range(start, stop)]
+        return tuple(np.stack(field) for field in zip(*records))
+
+    dists, outers, margs = run_trials(trials, config.outer_trials, parallelism)
     # Real and imaginary parts are averaged apart: a complex mean divides
     # by a complex count, which can round differently.
     cov = outers.real.mean(axis=0) + 1j * outers.imag.mean(axis=0)
@@ -1034,57 +1043,76 @@ def run_conditional_dm_concentration(
                 for ph in probes
             ]
         )
+        # A block's states, their rotation and a scratch for conjugates are
+        # laid out as (y, S, s), the observed index first, so the rotated
+        # block splits into the outcome blocks A_y without a copy.  The
+        # three come from one allocation: with glibc, separate block-sized
+        # arrays made the heap shrink and regrow around every block, with
+        # up to one page fault per 4 KiB of state (0.2-0.5 s of a
+        # 300-trial run, 694k faults in a 10,000-trial run, 55k this way).
         flat = h.flat_indices(shell.member_ranks)
-        block = ds_idx * config.n_trials
+        sys_i, y_i, s_i = np.unravel_index(flat, (d_sys, d_y, d_s))
+        flat_ys = np.ravel_multi_index((y_i, sys_i, s_i), (d_y, d_sys, d_s))
+        stream_base = ds_idx * config.n_trials
         k = shell.shell_dim
-        dims3 = (d_sys, d_y, d_s)
         n_probes = config.probe_count
+        block_size = max(1, CDM_BLOCK_BYTES // (16 * h.dim))
 
-        def trial(t: int) -> tuple:
-            rng = RandomStream(seed, block + t).generator()
-            z = complex_normals(rng, k)
-            z /= np.linalg.norm(z)
-            psi = np.zeros(h.dim, dtype=np.complex128)
-            psi[flat] = z
-            t3 = psi.reshape(dims3)
-            u = sample_haar_unitary(rng, d_y)
-            rot = np.tensordot(t3, u.conj(), axes=([1], [0]))  # (S, s, y)
-            rot = np.ascontiguousarray(np.transpose(rot, (0, 2, 1)))
-            grams, wts = kernels.conditional_dms(rot)
+        def trials(start: int, stop: int) -> tuple:
+            n = stop - start
+            gens = [
+                RandomStream(seed, stream_base + t).generator()
+                for t in range(start, stop)
+            ]
+            psi, rot, conj = np.zeros((3, n, d_y, d_sys * d_s), dtype=np.complex128)
+            for row, rng in zip(psi.reshape(n, -1), gens):
+                z = complex_normals(rng, k)
+                z /= np.linalg.norm(z)
+                row[flat_ys] = z
+            condition_on_random_basis(
+                gens, psi.transpose(0, 2, 1), out=rot.transpose(0, 2, 1)
+            )
+            conj = conj.reshape(n * d_y, d_sys, d_s)
+            grams, wts = kernels.conditional_dms(
+                rot.reshape(n * d_y, d_sys, d_s), conj
+            )
             # exact mixture identity: outcome-weighted conditionals resolve
             # the reduced state of S
-            total = grams.sum(axis=0)
-            mat = t3.reshape(d_sys, -1)
-            defect = float(np.max(np.abs(total - mat @ mat.conj().T)))
+            p_y = psi.reshape(n * d_y, d_sys, d_s)
+            gaps = grams - p_y @ np.conjugate(p_y, out=conj).transpose(0, 2, 1)
+            defect = float(np.max(np.abs(gaps.reshape(n, d_y, -1).sum(axis=1))))
             if defect > 1e-12:
                 raise RuntimeError(
                     f"conditional decomposition defect {defect:.3e}"
                 )
-            w = np.maximum(wts, ZERO_WEIGHT)
-            w_norm = w / w.sum()
             # Exact outcome-weighted first and second moments of the probe
             # values, both for the raw conditional (weight * value, the
             # quantity the variance prediction describes) and for the
             # trace-normalized conditional density matrix.  Averaging over
             # all outcomes removes the sampling noise a single drawn y
             # would add.
-            uv = np.empty((n_probes, d_y))
-            for p_idx in range(n_probes):
-                uv[p_idx] = kernels.quad_forms(grams, probes[p_idx])
-            xv = uv / w[None, :]
-            m1n = xv @ w_norm
-            m2n = (xv * xv) @ w_norm
-            m1u = uv @ w_norm
-            m2u = (uv * uv) @ w_norm
-            y = int(rng.choice(d_y, p=w_norm))
-            rho_c = grams[y] / wts[y]
-            diff = rho_c - target
-            eigs = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
-            dist = 0.5 * float(np.sum(np.abs(eigs)))
-            return y, wts[y], dist, xv[:, y], m1n, m2n, m1u, m2u
+            uv = np.stack([kernels.quad_forms(grams, ph) for ph in probes])
+            uv = uv.reshape(n_probes, n, d_y).transpose(1, 0, 2)
+            grams = grams.reshape(n, d_y, d_sys, d_sys)
+            wts = wts.reshape(n, d_y)
+            w = np.maximum(wts, ZERO_WEIGHT)
+            w_norm = (w / w.sum(axis=1, keepdims=True))[:, :, None]
+            xv = uv / w[:, None, :]
+            m1n = (xv @ w_norm)[..., 0]
+            m2n = ((xv * xv) @ w_norm)[..., 0]
+            m1u = (uv @ w_norm)[..., 0]
+            m2u = ((uv * uv) @ w_norm)[..., 0]
+            ys = np.array(
+                [rng.choice(d_y, p=p[:, 0]) for rng, p in zip(gens, w_norm)]
+            )
+            at_y = (np.arange(n), ys)
+            diff = grams[at_y] / wts[at_y][:, None, None] - target
+            eigs = np.linalg.eigvalsh(0.5 * (diff + diff.conj().transpose(0, 2, 1)))
+            dists = 0.5 * np.sum(np.abs(eigs), axis=1)
+            return ys, wts[at_y], dists, xv[at_y[0], :, ys], m1n, m2n, m1u, m2u
 
         ys, w_ys, dists, x_ys, *moments = run_trials(
-            trial, config.n_trials, parallelism
+            trials, config.n_trials, parallelism, block_size
         )
         tag = f"dim_s={d_s}"
         m1n, m2n, m1u, m2u = (m.mean(axis=0) for m in moments)

@@ -15,14 +15,16 @@ def sum_outer(vectors: np.ndarray) -> np.ndarray:
     return vectors.T @ vectors.conj()
 
 
-def conditional_dms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def conditional_dms(
+    a_y: np.ndarray, conj_out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized conditional matrices A_y A_y^dagger and their weights.
 
-    For an (a, b, c) tensor, slice y gives A_y = t[:, y, :]; the result is a
-    (b, a, a) stack of A_y A_y^dagger plus the (b,) vector of traces.
+    For an (n, a, c) stack of blocks A_y, the result is the (n, a, a) stack
+    of A_y A_y^dagger plus the (n,) vector of their traces.  ``conj_out``,
+    an array shaped like ``a_y``, receives conj(A_y) in place of a new one.
     """
-    a_y = np.ascontiguousarray(t.transpose(1, 0, 2))
-    grams = a_y @ a_y.conj().transpose(0, 2, 1)
+    grams = a_y @ np.conjugate(a_y, out=conj_out).transpose(0, 2, 1)
     weights = np.einsum("yii->y", grams).real
     return grams, weights
 

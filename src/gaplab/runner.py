@@ -17,6 +17,7 @@ environment variable, then the config file, then ``./runs``.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import datetime
 import functools
@@ -101,7 +102,11 @@ REPORT_SCHEMA = {
                 "overall_pass": {"type": "boolean"},
             },
         },
-        "volatile": {"type": "object"},
+        "volatile": {
+            "type": "object",
+            "required": ["blas_threads"],
+            "properties": {"blas_threads": {"type": ["integer", "null"]}},
+        },
     },
 }
 
@@ -250,6 +255,23 @@ def _report_validator():
     return cls(REPORT_SCHEMA)
 
 
+def _blas_threads() -> int | None:
+    """Thread count of the OpenBLAS behind numpy.linalg, or None where none
+    of the known getters is exported."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for symbol in (
+        "scipy_openblas_get_num_threads64_",
+        "openblas_get_num_threads64_",
+        "openblas_get_num_threads",
+    ):
+        getter = getattr(lib, symbol, None)
+        if getter is not None:
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            return int(getter())
+    return None
+
+
 def report_envelope(report: ExperimentReport) -> dict:
     """Versioned JSON document: deterministic body plus volatile footer."""
     envelope = {
@@ -259,6 +281,7 @@ def report_envelope(report: ExperimentReport) -> dict:
             "wall_time_s": report.wall_time_s,
             "parallelism": report.parallelism,
             "package_version": __version__,
+            "blas_threads": _blas_threads(),
             "generated_at": datetime.datetime.now(
                 datetime.timezone.utc
             ).isoformat(),

@@ -5,8 +5,8 @@ is given by its sorted eigenvalues and, per rank, the computational-basis
 index of its eigenvector in each tensor factor.  Composites built with
 ``build_composite`` are noninteracting (energies add, the weak-coupling
 limit), so they stay diagonal, and an eigenvector is one-hot at a
-row-major flat index.  Canonical and microcanonical states are therefore
-diagonal, and shell states on spaces of dimension ~10^4 are assembled by
+row-major flat index.  Canonical states are therefore diagonal, and
+shell states on spaces of dimension ~10^4 are assembled by
 scattering coefficients rather than by dense matrix products.
 
 Inverse temperatures enter through the canonical family
@@ -126,10 +126,6 @@ def log_partition_function(h: HamiltonianSpec, beta: float) -> float:
     return float(np.log1p(s) + np.log(m) + x_max)
 
 
-def partition_function(h: HamiltonianSpec, beta: float) -> float:
-    return math.exp(log_partition_function(h, beta))
-
-
 def _boltzmann_weights(h: HamiltonianSpec, beta: float) -> np.ndarray:
     ev = h.eigenvalues
     shifted = -beta * ev
@@ -143,7 +139,8 @@ def canonical_mean_energy(h: HamiltonianSpec, beta: float) -> float:
 
 
 def canonical_density_matrix(h: HamiltonianSpec, beta: float) -> DensityMatrix:
-    """rho_beta = exp(-beta H)/Z on the factorized space of H."""
+    """rho_beta = exp(-beta H)/Z on the factorized space of H, as a dense
+    (dim, dim) matrix: meant for a system factor, not a large composite."""
     diag = np.zeros(h.dim, dtype=np.float64)
     diag[h.flat_indices(np.arange(h.dim))] = _boltzmann_weights(h, beta)
     entries = np.diag(diag).astype(np.complex128)
@@ -250,17 +247,6 @@ def energy_shell(h: HamiltonianSpec, energy: float, delta: float) -> EnergyShell
             f"no eigenvalues in [{energy}, {energy + delta}) for {h.label!r}"
         )
     return EnergyShell(h, float(energy), float(delta), np.arange(lo, hi))
-
-
-def microcanonical(
-    h: HamiltonianSpec, energy: float, delta: float
-) -> tuple[EnergyShell, DensityMatrix]:
-    """The shell and the normalized projector onto it."""
-    shell = energy_shell(h, energy, delta)
-    diag = np.zeros(h.dim, dtype=np.float64)
-    diag[h.flat_indices(shell.member_ranks)] = 1.0 / shell.shell_dim
-    entries = np.diag(diag).astype(np.complex128)
-    return shell, DensityMatrix(entries, h.factorization, check_psd=False)
 
 
 def sample_shell_state(stream_or_rng, shell: EnergyShell, size: int | None = None):

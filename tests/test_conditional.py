@@ -5,17 +5,16 @@ import pytest
 from scipy import stats as sps
 
 from gaplab.conditional import (
-    ConditionalOutcome,
     condition_on_random_basis,
-    conditional_density_matrix,
-    conditional_dm_from_s_average,
-    conditional_wave_function,
     draw_outcomes,
-    outcome_distribution,
     outcome_weights,
-    sample_conditional_wf,
 )
-from gaplab.ensembles import RandomStream, sample_haar_frames, sample_haar_onb
+from gaplab.ensembles import (
+    RandomStream,
+    sample_haar_frames,
+    sample_haar_onb,
+    sample_haar_unitary,
+)
 from gaplab.hilbert import (
     OrthonormalBasis,
     SpaceFactorization,
@@ -24,6 +23,15 @@ from gaplab.hilbert import (
     pure_density_matrix,
     tensor_product,
     trace_distance,
+)
+
+from reference import (
+    ConditionalOutcome,
+    conditional_density_matrix,
+    conditional_dm_from_s_average,
+    conditional_wave_function,
+    outcome_distribution,
+    sample_conditional_wf,
 )
 
 
@@ -269,9 +277,70 @@ class TestConditionOnRandomBasis:
         gram_a = a @ a.conj().transpose(0, 2, 1)
         assert np.max(np.abs(gram_c - gram_a)) < 1e-12
 
-    def test_rejects_wide_kept_side(self):
-        with pytest.raises(ValueError, match="keep <= cond"):
-            condition_on_random_basis(RandomStream(62), np.ones((1, 3, 2)))
+    def test_rejects_non_stack_input(self):
+        with pytest.raises(ValueError, match="stack"):
+            condition_on_random_basis(RandomStream(62), np.ones((3, 2)))
+
+    def test_wide_gram_identity_exact(self):
+        # keep >= cond: the full unitary, c c^dagger = A A^dagger as well.
+        rng = np.random.default_rng(90)
+        a = rng.standard_normal((3, 12, 5)) + 1j * rng.standard_normal((3, 12, 5))
+        a[1, :, 2] = 0.0
+        per_state = [RandomStream(92 + i).generator() for i in range(3)]
+        for stream in (RandomStream(91), per_state):
+            c = condition_on_random_basis(stream, a)
+            assert c.shape == a.shape
+            gram_c = c @ c.conj().transpose(0, 2, 1)
+            gram_a = a @ a.conj().transpose(0, 2, 1)
+            assert np.max(np.abs(gram_c - gram_a)) < 1e-12
+
+    def test_generator_per_state_matches_one_at_a_time(self):
+        # A sequence of generators conditions state i with generator i
+        # alone: the unitary one sample_haar_unitary call on it would give,
+        # with the generator left in the same state.  The states come as a
+        # transposed view, the layout the conditional-DM trials use.  The
+        # product is formed as U^H a^T; a[i] @ conj(U) may take another
+        # BLAS kernel and differ in the last bit.
+        rng = np.random.default_rng(93)
+        states = rng.standard_normal((4, 6, 10)) + 1j * rng.standard_normal((4, 6, 10))
+        a = states.transpose(0, 2, 1)  # (n, keep=10, cond=6)
+        gens = [RandomStream(94, i).generator() for i in range(4)]
+        c = condition_on_random_basis(gens, a)
+        for i, gen in enumerate(gens):
+            solo = RandomStream(94, i).generator()
+            u = sample_haar_unitary(solo, 6)
+            assert np.array_equal(c[i], (u.conj().T @ states[i]).T)
+            assert np.max(np.abs(c[i] - a[i] @ u.conj())) < 1e-14
+            assert gen.random() == solo.random()
+
+    @pytest.mark.parametrize("keep, cond", [(2, 7), (7, 2)])
+    def test_out_receives_the_same_bits(self, keep, cond):
+        rng = np.random.default_rng(95)
+        a = rng.standard_normal((3, keep, cond)) + 1j * rng.standard_normal(
+            (3, keep, cond)
+        )
+        fresh = condition_on_random_basis(RandomStream(96), a)
+        # laid out as a new result: C order for keep < cond, otherwise the
+        # transpose of a C-order (n, cond, keep) array
+        if keep < cond:
+            out = np.empty((3, keep, cond), dtype=complex)
+        else:
+            out = np.empty((3, cond, keep), dtype=complex).transpose(0, 2, 1)
+        got = condition_on_random_basis(RandomStream(96), a, out=out)
+        assert np.shares_memory(got, out)
+        assert np.array_equal(got, fresh) and np.array_equal(out, fresh)
+
+    def test_narrow_branch_keeps_its_bytes(self):
+        # keep < cond: L from the reduced QR of A^H times a Haar keep-frame,
+        # all frames drawn from the one stream, as gap_distribution and the
+        # heredity check use it.
+        rng = np.random.default_rng(70)
+        a = rng.standard_normal((5, 2, 16)) + 1j * rng.standard_normal((5, 2, 16))
+        c = condition_on_random_basis(RandomStream(71), a)
+        r = np.linalg.qr(a.conj().transpose(0, 2, 1), mode="r")
+        frames = sample_haar_frames(RandomStream(71), 16, 2, 5)
+        expect = r.conj().transpose(0, 2, 1) @ frames.transpose(0, 2, 1)
+        assert np.array_equal(c, expect)
 
     def test_frames_have_orthonormal_columns(self):
         frames = sample_haar_frames(RandomStream(63), 9, 3, 50)

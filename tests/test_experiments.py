@@ -31,7 +31,10 @@ from gaplab.experiments import (
     run_gaussian_surrogate_concentration,
     run_unitary_covariance,
 )
+from gaplab import experiments
 from gaplab.hilbert import single_factor, trace_distance
+
+from reference import conditional_dm_trials
 
 
 class TestFixedProbes:
@@ -261,6 +264,58 @@ class TestExperimentRuns:
                                        alpha_each=1e-3)
         assert len(checks) == 4  # 3 probe KS + 1 covariance
         assert all(c.passed for c in checks)
+
+
+ORACLE_CONDITIONAL = ConditionalDmConfig(
+    dim_s_values=(64, 128), n_trials=20, min_shell_dim=50
+)
+
+
+class TestConditionalDmBlocks:
+    """The block path against the one-trial-at-a-time reference, bit for bit,
+    at any block size and any parallelism."""
+
+    SEED = 21
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        rows, stats = [], {}
+        for ds_idx, d_s in enumerate(ORACLE_CONDITIONAL.dim_s_values):
+            ys, w_ys, dists, x_ys, *moments = conditional_dm_trials(
+                ORACLE_CONDITIONAL, self.SEED, ds_idx
+            )
+            rows.append(
+                np.column_stack([np.full(ys.shape[0], d_s), ys, w_ys, dists, x_ys])
+            )
+            m1n, m2n, m1u, m2u = (m.mean(axis=0) for m in moments)
+            tag = f"dim_s={d_s}"
+            stats[f"mean_distance[{tag}]"] = float(dists.mean())
+            stats[f"p95_distance[{tag}]"] = float(np.quantile(dists, 0.95))
+            for p_idx in range(ORACLE_CONDITIONAL.probe_count):
+                key = f"[{tag},probe{p_idx}]"
+                stats[f"probe_mean{key}"] = float(m1n[p_idx])
+                stats[f"probe_var_ratio{key}"] = float(
+                    ((m2u - m1u**2) / m1u**2)[p_idx]
+                )
+                stats[f"probe_var_ratio_normalized{key}"] = float(
+                    ((m2n - m1n**2) / m1n**2)[p_idx]
+                )
+        return np.concatenate(rows), stats
+
+    # States per block at the first traced dimension (dim 2 * 64 * 64);
+    # None keeps the shipped budget.  With 3, the last block is partial.
+    @pytest.mark.parametrize("states", [1, 3, None])
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_matches_reference(self, monkeypatch, expected, states, parallelism):
+        if states is not None:
+            monkeypatch.setattr(experiments, "CDM_BLOCK_BYTES", states * 16 * 8192)
+        rep = run_conditional_dm_concentration(
+            ORACLE_CONDITIONAL, seed=self.SEED, parallelism=parallelism
+        )
+        rows, stats = expected
+        assert np.array_equal(rep.trial_rows, rows)
+        for key, value in stats.items():
+            assert rep.statistics[key] == value, key
 
 
 class TestPermutationPushforward:

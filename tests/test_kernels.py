@@ -34,14 +34,14 @@ class TestAxis1Weights:
             for y in range(5):
                 for k in range(3):
                     expect[y] += abs(t[i, y, k]) ** 2
-        _, weights = kernels.conditional_dms(t)
+        _, weights = kernels.conditional_dms(t.transpose(1, 0, 2))
         assert np.allclose(weights, expect, atol=1e-12)
 
 
 class TestConditionalDms:
     def test_loop_oracle(self, rng):
         t = _complex(rng, (3, 6, 5))
-        grams, weights = kernels.conditional_dms(t)
+        grams, weights = kernels.conditional_dms(t.transpose(1, 0, 2))
         assert grams.shape == (6, 3, 3)
         assert weights.shape == (6,)
         for y in range(6):
@@ -52,13 +52,22 @@ class TestConditionalDms:
 
     def test_weights_match_axis1(self, rng):
         t = _complex(rng, (3, 6, 5))
-        _, weights = kernels.conditional_dms(t)
+        _, weights = kernels.conditional_dms(t.transpose(1, 0, 2))
         mass = np.sum(t.real**2 + t.imag**2, axis=(0, 2))
         assert np.allclose(weights, mass, atol=1e-12)
 
+    def test_conj_out_gives_the_same_bits(self, rng):
+        t = _complex(rng, (3, 6, 5)).transpose(1, 0, 2)
+        scratch = np.empty_like(t)
+        grams, weights = kernels.conditional_dms(t, scratch)
+        expect_grams, expect_weights = kernels.conditional_dms(t)
+        assert np.array_equal(grams, expect_grams)
+        assert np.array_equal(weights, expect_weights)
+        assert np.array_equal(scratch, t.conj())
+
     def test_grams_hermitian(self, rng):
         t = _complex(rng, (3, 5, 4))
-        grams, _ = kernels.conditional_dms(t)
+        grams, _ = kernels.conditional_dms(t.transpose(1, 0, 2))
         assert np.max(np.abs(grams - grams.conj().transpose(0, 2, 1))) < 1e-12
 
 

@@ -184,8 +184,24 @@ class TestReportEnvelope:
             "wall_time_s",
             "parallelism",
             "package_version",
+            "blas_threads",
             "generated_at",
         }
+
+    def test_volatile_records_blas_threads(self, tiny_report, run_python):
+        # The count of the OpenBLAS numpy loaded, read through ctypes; null
+        # only where no known getter is exported.
+        threads = report_envelope(tiny_report)["volatile"]["blas_threads"]
+        assert threads is None or threads >= 1
+        child = (
+            "import os\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+            "from gaplab.runner import _blas_threads\n"
+            "print(_blas_threads())\n"
+        )
+        out = run_python("-c", child)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == ("None" if threads is None else "1")
 
     def test_summary_lines(self, tiny_report):
         text = summary_text(tiny_report)

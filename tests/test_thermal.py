@@ -20,13 +20,12 @@ from gaplab.thermal import (
     energy_shell,
     log_partition_function,
     match_beta,
-    microcanonical,
-    partition_function,
     sample_shell_state,
     synth_bath_spectrum,
     variance_ratio_prediction,
 )
 
+from reference import microcanonical, partition_function
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
