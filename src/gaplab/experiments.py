@@ -52,7 +52,7 @@ from .hilbert import (
     tensor_product,
     trace_distance,
 )
-from .parallel import run_trials
+from .parallel import run_tasks, run_trials
 from .stattests import anderson_normal, ks_2samp
 from .thermal import (
     SPECTRUM_MODELS,
@@ -74,6 +74,10 @@ PROBE_SEED = 777_000_001
 # peak RSS: at 300 trials per dimension it read 0.3, 1.7 and 43 MB above
 # per-trial conditioning at 512 KiB, 1 MiB and 8 MiB.
 CDM_BLOCK_BYTES = 512 << 10
+# Outer trials per task of gap_distribution.  A trial takes about 0.4 ms,
+# so a block outweighs the pool's cost per task, and the blocks of the
+# reference config still spread over the workers beside the heredity check.
+GAPDIST_BLOCK_TRIALS = 10
 DEFAULT_PROBE_COUNT = 5
 
 
@@ -859,20 +863,38 @@ def run_gap_distribution(
         records = [trial(t) for t in range(start, stop)]
         return tuple(np.stack(field) for field in zip(*records))
 
-    dists, outers, margs = run_trials(trials, config.outer_trials, parallelism)
+    n_pool = config.outer_trials * m_inner
+    m_total = config.probe_count + (config.probe_count if config.run_heredity else 0)
+    p_threshold = config.alpha / m_total
+
+    def trial_loop() -> tuple:
+        return run_trials(
+            trials, config.outer_trials, parallelism, GAPDIST_BLOCK_TRIALS
+        )
+
+    def reference_marginals() -> np.ndarray:
+        reference = sample_gap(
+            RandomStream(seed, AUX_STREAM_BASE + 2), rho_target, size=n_pool
+        ).amplitudes
+        return probe_marginals(reference, probes)
+
+    def heredity() -> tuple[list[CheckResult], dict]:
+        if not config.run_heredity:
+            return [], {}
+        return heredity_check(
+            seed, config.heredity_samples, config.probe_count, p_threshold
+        )
+
+    # The three phases draw from disjoint streams, so they run as
+    # independent tasks; the heredity check, the longest, goes first, and
+    # the trial loop spreads its blocks over workers of its own.
+    (h_checks, h_stats), (dists, outers, margs), ref_marg = run_tasks(
+        [heredity, trial_loop, reference_marginals], parallelism
+    )
     # Real and imaginary parts are averaged apart: a complex mean divides
     # by a complex count, which can round differently.
     cov = outers.real.mean(axis=0) + 1j * outers.imag.mean(axis=0)
     pooled_marg = np.transpose(margs, (1, 0, 2)).reshape(config.probe_count, -1)
-
-    n_pool = config.outer_trials * m_inner
-    reference = sample_gap(
-        RandomStream(seed, AUX_STREAM_BASE + 2), rho_target, size=n_pool
-    ).amplitudes
-    ref_marg = probe_marginals(reference, probes)
-
-    m_total = config.probe_count + (config.probe_count if config.run_heredity else 0)
-    p_threshold = config.alpha / m_total
 
     cov_dist = trace_distance(0.5 * (cov + cov.conj().T), target)
     frac = float(np.mean(dists <= config.per_trial_tolerance))
@@ -909,12 +931,8 @@ def run_gap_distribution(
         "per_trial_mean_distance": float(dists.mean()),
         "per_trial_pass_fraction": frac,
     }
-    if config.run_heredity:
-        h_checks, h_stats = heredity_check(
-            seed, config.heredity_samples, config.probe_count, p_threshold
-        )
-        checks.extend(h_checks)
-        statistics.update(h_stats)
+    checks.extend(h_checks)
+    statistics.update(h_stats)
 
     return ExperimentReport(
         experiment="gap_distribution",

@@ -17,7 +17,6 @@ environment variable, then the config file, then ``./runs``.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import datetime
 import functools
@@ -31,6 +30,7 @@ import yaml
 
 from . import __version__
 from .experiments import EXPERIMENTS, ConfigError, ExperimentReport
+from .parallel import trial_blas_threads
 
 SCHEMA_VERSION = "1"
 DEFAULT_OUT_DIR = "runs"
@@ -255,23 +255,6 @@ def _report_validator():
     return cls(REPORT_SCHEMA)
 
 
-def _blas_threads() -> int | None:
-    """Thread count of the OpenBLAS behind numpy.linalg, or None where none
-    of the known getters is exported."""
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    for symbol in (
-        "scipy_openblas_get_num_threads64_",
-        "openblas_get_num_threads64_",
-        "openblas_get_num_threads",
-    ):
-        getter = getattr(lib, symbol, None)
-        if getter is not None:
-            getter.argtypes = []
-            getter.restype = ctypes.c_int
-            return int(getter())
-    return None
-
-
 def report_envelope(report: ExperimentReport) -> dict:
     """Versioned JSON document: deterministic body plus volatile footer."""
     envelope = {
@@ -281,7 +264,7 @@ def report_envelope(report: ExperimentReport) -> dict:
             "wall_time_s": report.wall_time_s,
             "parallelism": report.parallelism,
             "package_version": __version__,
-            "blas_threads": _blas_threads(),
+            "blas_threads": trial_blas_threads(),
             "generated_at": datetime.datetime.now(
                 datetime.timezone.utc
             ).isoformat(),
@@ -390,7 +373,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", help="YAML run configuration file")
     run_p.add_argument("--seed", type=int, help="override the run seed")
     run_p.add_argument(
-        "--parallelism", type=int, help="worker threads for trial loops"
+        "--parallelism",
+        type=int,
+        help="worker threads for trial loops and independent phases; each "
+        "runs one BLAS thread",
     )
     run_p.add_argument(
         "--out-dir",

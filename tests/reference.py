@@ -4,6 +4,7 @@ Tests use these as oracles: dense or one-at-a-time forms of quantities the
 package computes in a cheaper or batched way.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -29,6 +30,7 @@ from gaplab.hilbert import (
     StateVector,
     partial_inner_product,
 )
+from gaplab.parallel import run_tasks
 from gaplab.thermal import (
     EnergyShell,
     HamiltonianSpec,
@@ -265,5 +267,7 @@ def conditional_dm_trials(
         dist = 0.5 * float(np.sum(np.abs(eigs)))
         return y, wts[y], dist, xv[:, y], m1n, m2n, m1u, m2u
 
-    records = [trial(t) for t in range(config.n_trials)]
+    # Serial, under the one-thread OpenBLAS pin the block path runs with, so
+    # that both sides round alike.
+    records = run_tasks([functools.partial(trial, t) for t in range(config.n_trials)])
     return tuple(np.stack(field) for field in zip(*records))

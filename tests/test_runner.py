@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import gaplab
+from gaplab import parallel
 from gaplab.experiments import (
     SurrogateConfig,
     run_gaussian_surrogate_concentration,
@@ -188,20 +189,18 @@ class TestReportEnvelope:
             "generated_at",
         }
 
-    def test_volatile_records_blas_threads(self, tiny_report, run_python):
-        # The count of the OpenBLAS numpy loaded, read through ctypes; null
-        # only where no known getter is exported.
+    def test_volatile_records_blas_threads(self, tiny_report, monkeypatch):
+        # The count the trial loops run with: 1 where OpenBLAS's count can
+        # be set, else the count it reports (null where it reports none).
+        getter, setter = parallel.openblas_thread_functions()
+        unpinned = None if getter is None else getter()
         threads = report_envelope(tiny_report)["volatile"]["blas_threads"]
-        assert threads is None or threads >= 1
-        child = (
-            "import os\n"
-            "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
-            "from gaplab.runner import _blas_threads\n"
-            "print(_blas_threads())\n"
+        assert threads == (unpinned if setter is None else 1)
+        monkeypatch.setattr(
+            parallel, "openblas_thread_functions", lambda: (getter, None)
         )
-        out = run_python("-c", child)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == ("None" if threads is None else "1")
+        threads = report_envelope(tiny_report)["volatile"]["blas_threads"]
+        assert threads == unpinned
 
     def test_summary_lines(self, tiny_report):
         text = summary_text(tiny_report)
@@ -497,6 +496,34 @@ class TestRunPathImports:
 
 
 class TestRerunDeterminism:
+    @pytest.mark.skipif(
+        parallel.openblas_thread_functions()[1] is None,
+        reason="numpy's BLAS exports no thread-count setter",
+    )
+    def test_blas_thread_count_leaves_bytes_unchanged(self, run_python, tmp_path):
+        # Trial loops pin OpenBLAS to one thread, so the default count moves
+        # no bit; unpinned, two threads move the last bits of this payload.
+        cfg = write_yaml(
+            tmp_path,
+            {"experiment": "conditional_dm_concentration", "seed": 0,
+             "config": {"n_trials": 10}},
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            out_dir = str(tmp_path / threads)
+            out = run_python(
+                "-m", "gaplab", "run", "--config", cfg, "--out-dir", out_dir,
+                env={"OPENBLAS_NUM_THREADS": threads},
+            )
+            assert out.returncode == 0, out.stderr
+            run_dir = os.path.join(out_dir, "conditional_dm_concentration-seed0")
+            with open(os.path.join(run_dir, "report.json")) as fh:
+                env = json.load(fh)
+            assert env["volatile"]["blas_threads"] == 1
+            with open(os.path.join(run_dir, "trials.tsv"), "rb") as fh:
+                outputs.append((json.dumps(env["report"], sort_keys=True), fh.read()))
+        assert outputs[0] == outputs[1]
+
     def test_same_seed_same_report_bytes(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(OUT_DIR_ENV_VAR, raising=False)
         cfg = write_yaml(tmp_path, TINY_SURROGATE)

@@ -121,6 +121,30 @@ def test_ks_2samp_matches_scipy():
         assert p == pytest.approx(ref.pvalue, rel=RTOL, abs=ATOL)
 
 
+def _searchsorted_statistic(a, b):
+    """D in SciPy's form: both empirical CDFs at every pooled value."""
+    data1, data2 = np.sort(a), np.sort(b)
+    data_all = np.concatenate([data1, data2])
+    cddiffs = (
+        np.searchsorted(data1, data_all, side="right") / data1.shape[0]
+        - np.searchsorted(data2, data_all, side="right") / data2.shape[0]
+    )
+    return max(np.clip(-np.min(cddiffs), 0, 1), np.max(cddiffs))
+
+
+def test_ks_2samp_statistic_equals_searchsorted_form():
+    rng = np.random.default_rng(44)
+    pairs = list(_sample_pairs())
+    pairs += [
+        (np.full(40, 0.5), np.full(17, 0.5)),  # all values equal
+        (rng.uniform(size=25), rng.uniform(size=60) + 2.0),  # disjoint
+        (rng.uniform(size=60) + 2.0, rng.uniform(size=25)),
+        (rng.integers(0, 3, 500).astype(float), rng.integers(0, 4, 77).astype(float)),
+    ]
+    for a, b in pairs:
+        assert ks_2samp(a, b)[0] == _searchsorted_statistic(a, b)
+
+
 def test_ks_2samp_rejects_empty():
     with pytest.raises(ValueError, match="non-empty"):
         ks_2samp(np.ones(3), np.ones(0))
