@@ -1,6 +1,6 @@
 """pyproject.toml agrees with the package: every declared dependency, runtime
-or ``dev``, can be imported where the tests run, SciPy is a test-only
-dependency, and the declared version is ``gaplab.__version__``."""
+or ``dev``, can be imported where the tests run, SciPy and jsonschema are
+test-only dependencies, and the declared version is ``gaplab.__version__``."""
 
 import importlib
 import re
@@ -44,6 +44,13 @@ def test_scipy_is_a_test_only_dependency():
     # Runs use gaplab.stattests; only the tests that pin it import SciPy.
     assert "scipy" in _dev()
     assert "scipy" not in _runtime()
+
+
+def test_jsonschema_is_a_test_only_dependency():
+    # Runs do not validate their reports; the tests validate every report
+    # they write against gaplab.runner.REPORT_SCHEMA.
+    assert "jsonschema" in _dev()
+    assert "jsonschema" not in _runtime()
 
 
 def test_package_version_matches_pyproject():

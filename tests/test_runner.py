@@ -53,6 +53,22 @@ def write_yaml(tmp_path, payload, name="run.yaml"):
     return str(path)
 
 
+# Runs do not validate their reports; every test that writes one
+# validates it against REPORT_SCHEMA through these two helpers.
+def valid_envelope(report):
+    env = report_envelope(report)
+    jsonschema.validate(env, REPORT_SCHEMA)
+    return env
+
+
+def load_report(run_dir):
+    """report.json of a run directory, validated against REPORT_SCHEMA."""
+    with open(os.path.join(run_dir, "report.json")) as fh:
+        env = json.load(fh)
+    jsonschema.validate(env, REPORT_SCHEMA)
+    return env
+
+
 class TestConfigCoercion:
     def test_defaults_when_empty(self):
         cfg = experiment_config_from_dict("gaussian_surrogate", {})
@@ -163,21 +179,19 @@ def tiny_report():
 
 class TestReportEnvelope:
     def test_validates_against_schema(self, tiny_report):
-        env = report_envelope(tiny_report)
-        jsonschema.validate(env, REPORT_SCHEMA)  # explicit, beyond built-in
+        env = valid_envelope(tiny_report)
         assert env["schema_version"] == "1"
         assert env["report"]["experiment"] == "gaussian_surrogate"
 
-    def test_cached_validator_still_rejects(self, tiny_report):
-        report_envelope(tiny_report)  # builds the validator
+    def test_schema_rejects_malformed_envelope(self, tiny_report):
         bad = dataclasses.replace(
             tiny_report, statistics={**tiny_report.statistics, "broken": "1.0"}
         )
         with pytest.raises(jsonschema.ValidationError, match="'1.0'"):
-            report_envelope(bad)
+            valid_envelope(bad)
 
     def test_payload_excludes_volatile(self, tiny_report):
-        env = report_envelope(tiny_report)
+        env = valid_envelope(tiny_report)
         assert "wall_time_s" not in env["report"]
         assert "wall_time_s" in env["volatile"]
         assert "parallelism" not in env["report"]
@@ -194,12 +208,12 @@ class TestReportEnvelope:
         # be set, else the count it reports (null where it reports none).
         getter, setter = parallel.openblas_thread_functions()
         unpinned = None if getter is None else getter()
-        threads = report_envelope(tiny_report)["volatile"]["blas_threads"]
+        threads = valid_envelope(tiny_report)["volatile"]["blas_threads"]
         assert threads == (unpinned if setter is None else 1)
         monkeypatch.setattr(
             parallel, "openblas_thread_functions", lambda: (getter, None)
         )
-        threads = report_envelope(tiny_report)["volatile"]["blas_threads"]
+        threads = valid_envelope(tiny_report)["volatile"]["blas_threads"]
         assert threads == unpinned
 
     def test_summary_lines(self, tiny_report):
@@ -322,9 +336,7 @@ class TestCli:
         run_dir = os.path.join(out_dir, "gaussian_surrogate-seed9")
         for fname in ("report.json", "trials.tsv", "summary.txt"):
             assert os.path.exists(os.path.join(run_dir, fname))
-        with open(os.path.join(run_dir, "report.json")) as fh:
-            env = json.load(fh)
-        jsonschema.validate(env, REPORT_SCHEMA)
+        load_report(run_dir)
         table = np.loadtxt(
             os.path.join(run_dir, "trials.tsv"), skiprows=1, delimiter="\t"
         )
@@ -337,7 +349,7 @@ class TestCli:
         cfg = write_yaml(tmp_path, TINY_SURROGATE)
         code, _, _ = self.run_main(["run", "--config", cfg], capsys)
         assert code == 0
-        assert os.path.isdir(os.path.join(env_dir, "gaussian_surrogate-seed9"))
+        load_report(os.path.join(env_dir, "gaussian_surrogate-seed9"))
 
     def test_run_by_name_with_overrides(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(OUT_DIR_ENV_VAR, raising=False)
@@ -347,7 +359,7 @@ class TestCli:
             capsys,
         )
         assert code == 0
-        assert os.path.isdir(os.path.join(out_dir, "unitary_covariance-seed4"))
+        load_report(os.path.join(out_dir, "unitary_covariance-seed4"))
 
     def test_run_conflicting_experiment(self, tmp_path, capsys):
         cfg = write_yaml(tmp_path, TINY_SURROGATE)
@@ -375,7 +387,7 @@ class TestCli:
             capsys,
         )
         assert code in (0, 1)  # only the directory name is under test here
-        assert os.path.isdir(os.path.join(out_dir, "gaussian_surrogate-seed11"))
+        load_report(os.path.join(out_dir, "gaussian_surrogate-seed11"))
 
 
 class TestTrialsTsv:
@@ -416,15 +428,12 @@ class TestFreshInterpreter:
         out_dir = str(tmp_path / "out")
         out = run_python("-m", "gaplab", "run", "--config", cfg, "--out-dir", out_dir)
         assert out.returncode == 0, out.stderr
-        path = os.path.join(out_dir, "gaussian_surrogate-seed9", "report.json")
-        with open(path) as fh:
-            env = json.load(fh)
+        env = load_report(os.path.join(out_dir, "gaussian_surrogate-seed9"))
         assert env["volatile"]["package_version"] == gaplab.__version__
 
     def test_import_leaves_scipy_stats_unloaded(self, run_python):
         # Neither SciPy nor jsonschema may load at import, for a config or
-        # in validate; jsonschema loads at a run's first report, SciPy never
-        # (see TestRunPathImports).
+        # in validate; nor in a run (see TestRunPathImports).
         configs = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.yaml")))
         assert len(configs) == 6
         child = (
@@ -473,8 +482,9 @@ RUN_PATH_CONFIGS = {
 class TestRunPathImports:
     @pytest.mark.parametrize("experiment", sorted(RUN_PATH_CONFIGS))
     def test_run_leaves_scipy_unloaded(self, run_python, tmp_path, experiment):
-        # The KS and Anderson-Darling tests are gaplab.stattests; a whole
-        # run, report included, must not import SciPy.
+        # The KS and Anderson-Darling tests are gaplab.stattests, and the
+        # report is not validated at run time; a whole run, report
+        # included, must import neither SciPy nor jsonschema.
         assert set(RUN_PATH_CONFIGS) == set(gaplab.EXPERIMENTS)
         cfg = write_yaml(
             tmp_path,
@@ -488,11 +498,14 @@ class TestRunPathImports:
             "    code = runner.main(['run', '--config', sys.argv[1],\n"
             "                        '--out-dir', sys.argv[2]])\n"
             "print(code)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('scipy', 'jsonschema')))\n"
         )
-        out = run_python("-c", child, cfg, str(tmp_path / "out"))
+        out_dir = tmp_path / "out"
+        out = run_python("-c", child, cfg, str(out_dir))
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == ["0", "[]"]
+        load_report(out_dir / f"{experiment}-seed3")
 
 
 class TestRerunDeterminism:
@@ -517,8 +530,7 @@ class TestRerunDeterminism:
             )
             assert out.returncode == 0, out.stderr
             run_dir = os.path.join(out_dir, "conditional_dm_concentration-seed0")
-            with open(os.path.join(run_dir, "report.json")) as fh:
-                env = json.load(fh)
+            env = load_report(run_dir)
             assert env["volatile"]["blas_threads"] == 1
             with open(os.path.join(run_dir, "trials.tsv"), "rb") as fh:
                 outputs.append((json.dumps(env["report"], sort_keys=True), fh.read()))
@@ -532,10 +544,6 @@ class TestRerunDeterminism:
             out_dir = str(tmp_path / sub)
             assert main(["run", "--config", cfg, "--out-dir", out_dir]) == 0
             capsys.readouterr()
-            path = os.path.join(
-                out_dir, "gaussian_surrogate-seed9", "report.json"
-            )
-            with open(path) as fh:
-                env = json.load(fh)
+            env = load_report(os.path.join(out_dir, "gaussian_surrogate-seed9"))
             bodies.append(json.dumps(env["report"], sort_keys=True))
         assert bodies[0] == bodies[1]
