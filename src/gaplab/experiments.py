@@ -1124,9 +1124,9 @@ def run_conditional_dm_concentration(
                 [rng.choice(d_y, p=p[:, 0]) for rng, p in zip(gens, w_norm)]
             )
             at_y = (np.arange(n), ys)
-            diff = grams[at_y] / wts[at_y][:, None, None] - target
-            eigs = np.linalg.eigvalsh(0.5 * (diff + diff.conj().transpose(0, 2, 1)))
-            dists = 0.5 * np.sum(np.abs(eigs), axis=1)
+            dists = _batched_trace_distance(
+                grams[at_y] / wts[at_y][:, None, None], target
+            )
             return ys, wts[at_y], dists, xv[at_y[0], :, ys], m1n, m2n, m1u, m2u
 
         ys, w_ys, dists, x_ys, *moments = run_trials(
