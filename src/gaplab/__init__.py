@@ -19,7 +19,6 @@ from .ensembles import (
     sample_gap_via_dap,
     sample_gap_via_purification,
     sample_haar_frames,
-    sample_haar_onb,
     sample_haar_unitary,
     sample_uniform_sphere,
 )
@@ -33,14 +32,7 @@ from .experiments import (
 )
 from .hilbert import (
     DensityMatrix,
-    OrthonormalBasis,
     SpaceFactorization,
-    StateVector,
-    maximally_mixed,
-    partial_inner_product,
-    partial_trace,
-    pure_density_matrix,
-    purity,
     single_factor,
     tensor_product,
     trace_distance,
@@ -69,12 +61,10 @@ __all__ = [
     "GAP_SAMPLERS",
     "GapSampleBatch",
     "HamiltonianSpec",
-    "OrthonormalBasis",
     "RandomStream",
     "RejectionOracleResult",
     "RunConfig",
     "SpaceFactorization",
-    "StateVector",
     "build_composite",
     "canonical_density_matrix",
     "canonical_mean_energy",
@@ -86,12 +76,7 @@ __all__ = [
     "load_run_config",
     "main",
     "match_beta",
-    "maximally_mixed",
     "named_rho",
-    "partial_inner_product",
-    "partial_trace",
-    "pure_density_matrix",
-    "purity",
     "rejection_oracle_ga",
     "sample_g",
     "sample_ga",
@@ -99,7 +84,6 @@ __all__ = [
     "sample_gap_via_dap",
     "sample_gap_via_purification",
     "sample_haar_frames",
-    "sample_haar_onb",
     "sample_haar_unitary",
     "sample_shell_state",
     "sample_uniform_sphere",

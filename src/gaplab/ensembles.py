@@ -33,13 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    DensityMatrix,
-    OrthonormalBasis,
-    SpaceFactorization,
-    StateVector,
-    single_factor,
-)
+from .hilbert import DensityMatrix
 from . import kernels
 
 METHOD_TAGS = ("GAP_def1", "DAP_def2", "purification_def3", "rejection_oracle")
@@ -71,9 +65,6 @@ class RandomStream:
         )
         return np.random.Generator(np.random.PCG64(ss))
 
-    def substream(self, index: int) -> "RandomStream":
-        return RandomStream(self.seed, index)
-
 
 @dataclass(frozen=True)
 class GapSampleBatch:
@@ -98,11 +89,6 @@ class GapSampleBatch:
 
     def __len__(self) -> int:
         return self.amplitudes.shape[0]
-
-    def __getitem__(self, i: int) -> StateVector:
-        return StateVector(
-            self.amplitudes[i], self.source_rho.factorization, normalized=True
-        )
 
 
 def _eigensystem(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -130,17 +116,15 @@ def complex_normals(rng: np.random.Generator, shape, scale=1.0) -> np.ndarray:
     return out
 
 
-def sample_complex_gaussian(
-    stream_or_rng, variances, size: int | None = None
-) -> np.ndarray:
-    """Complex Gaussian draws: real and imaginary parts are independent
-    N(0, variance/2), so E|X|^2 equals the requested variance."""
+def sample_complex_gaussian(stream_or_rng, variances, size: int) -> np.ndarray:
+    """A (size, len(variances)) array of complex Gaussian draws: real and
+    imaginary parts are independent N(0, variance/2), so E|X|^2 equals the
+    requested variance."""
     rng = _rng_of(stream_or_rng)
     var = np.atleast_1d(np.asarray(variances, dtype=np.float64))
     if np.any(var < 0):
         raise ValueError("variances must be nonnegative")
-    shape = (var.shape[0],) if size is None else (size, var.shape[0])
-    return complex_normals(rng, shape, np.sqrt(var / 2.0))
+    return complex_normals(rng, (size, var.shape[0]), np.sqrt(var / 2.0))
 
 
 def _rng_of(stream_or_rng) -> np.random.Generator:
@@ -151,41 +135,25 @@ def _rng_of(stream_or_rng) -> np.random.Generator:
     raise TypeError("expected a RandomStream or numpy Generator")
 
 
-def _space_of(space) -> SpaceFactorization:
-    if isinstance(space, SpaceFactorization):
-        return space
-    return single_factor("H", int(space))
-
-
-def sample_uniform_sphere(stream_or_rng, space, size: int | None = None):
-    """Uniform distribution on the unit sphere of a dim-n space.
-
-    With ``size`` given, returns a (size, dim) array of normalized rows;
-    otherwise a single normalized StateVector.
-    """
-    fact = _space_of(space)
+def sample_uniform_sphere(stream_or_rng, dim: int, size: int) -> np.ndarray:
+    """A (size, dim) array of rows drawn uniformly from the unit sphere of
+    C^dim."""
     rng = _rng_of(stream_or_rng)
-    n = size if size is not None else 1
-    z = complex_normals(rng, (n, fact.total_dim))
+    z = complex_normals(rng, (size, dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    if size is None:
-        return StateVector(z[0], fact, normalized=True)
     return z
 
 
-def sample_g(stream_or_rng, rho: DensityMatrix, size: int | None = None):
-    """The Gaussian ensemble of rho: unnormalized vectors with covariance rho.
+def sample_g(stream_or_rng, rho: DensityMatrix, size: int) -> np.ndarray:
+    """The Gaussian ensemble of rho: (size, dim) unnormalized rows with
+    covariance rho.
 
     Coordinates in the eigenvector basis of rho are independent complex
     Gaussians whose variances are the eigenvalues; E |Psi|^2 = tr rho = 1.
     """
     p, vecs = _eigensystem(rho)
     rng = _rng_of(stream_or_rng)
-    coeffs = sample_complex_gaussian(rng, p, size=size if size is not None else 1)
-    samples = coeffs @ vecs.T
-    if size is None:
-        return StateVector(samples[0], rho.factorization)
-    return samples
+    return sample_complex_gaussian(rng, p, size) @ vecs.T
 
 
 def _ga_coefficients(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:
@@ -201,47 +169,37 @@ def _ga_coefficients(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndar
     return coeffs
 
 
-def sample_ga(stream_or_rng, rho: DensityMatrix, size: int | None = None):
+def sample_ga(stream_or_rng, rho: DensityMatrix, size: int) -> np.ndarray:
     """The adjusted (size-biased) Gaussian ensemble of rho, not yet projected.
 
     Each draw picks one eigendirection J with probability p_J, gives it
     squared modulus Gamma(2, p_J) with a uniform phase, and keeps plain
     complex Gaussians elsewhere; this is exactly the |psi|^2-reweighted
-    Gaussian ensemble.  Draws are unnormalized.
+    Gaussian ensemble.  Returns (size, dim) unnormalized rows.
     """
     p, vecs = _eigensystem(rho)
     rng = _rng_of(stream_or_rng)
-    coeffs = _ga_coefficients(rng, p, size if size is not None else 1)
-    samples = coeffs @ vecs.T
-    if size is None:
-        return StateVector(samples[0], rho.factorization)
-    return samples
+    return _ga_coefficients(rng, p, size) @ vecs.T
 
 
-def sample_gap(stream_or_rng, rho: DensityMatrix, size: int | None = None):
+def sample_gap(stream_or_rng, rho: DensityMatrix, size: int) -> GapSampleBatch:
     """GAP(rho) by the exact mixture construction: adjusted draw, projected."""
     p, vecs = _eigensystem(rho)
     rng = _rng_of(stream_or_rng)
-    coeffs = _ga_coefficients(rng, p, size if size is not None else 1)
+    coeffs = _ga_coefficients(rng, p, size)
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
     samples = coeffs @ vecs.T
     samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-    if size is None:
-        return StateVector(samples[0], rho.factorization, normalized=True)
     return GapSampleBatch(samples, rho, "GAP_def1")
 
 
-def sample_d(stream_or_rng, rho: DensityMatrix, size: int | None = None):
-    """Pushforward of the uniform sphere measure through sqrt(dim * rho)."""
+def sample_d(stream_or_rng, rho: DensityMatrix, size: int) -> np.ndarray:
+    """Pushforward of the uniform sphere measure through sqrt(dim * rho):
+    (size, dim) rows."""
     p, vecs = _eigensystem(rho)
     rng = _rng_of(stream_or_rng)
-    n = size if size is not None else 1
-    u = sample_uniform_sphere(rng, rho.dim, size=n)
-    coeffs = u * np.sqrt(rho.dim * p)
-    samples = coeffs @ vecs.T
-    if size is None:
-        return StateVector(samples[0], rho.factorization)
-    return samples
+    u = sample_uniform_sphere(rng, rho.dim, size)
+    return (u * np.sqrt(rho.dim * p)) @ vecs.T
 
 
 # Largest row block of a rejection sampler's proposal batch, in bytes.  A
@@ -302,7 +260,9 @@ def _accept_biased_sphere(
     return np.concatenate(have, axis=0)[:n]
 
 
-def sample_gap_via_dap(stream_or_rng, rho: DensityMatrix, size: int | None = None):
+def sample_gap_via_dap(
+    stream_or_rng, rho: DensityMatrix, size: int
+) -> GapSampleBatch:
     """GAP(rho) as adjust-then-project applied to the sqrt(dim*rho) pushforward.
 
     The adjustment density |psi|^2 on D(rho) draws is bounded by
@@ -310,7 +270,6 @@ def sample_gap_via_dap(stream_or_rng, rho: DensityMatrix, size: int | None = Non
     """
     p, vecs = _eigensystem(rho)
     rng = _rng_of(stream_or_rng)
-    n = size if size is not None else 1
     d = rho.dim
     scale2 = d * p  # squared coordinate scaling of the pushforward
     bound = float(scale2.max())
@@ -318,18 +277,16 @@ def sample_gap_via_dap(stream_or_rng, rho: DensityMatrix, size: int | None = Non
     def weights(u):
         return (np.abs(u) ** 2) @ scale2
 
-    u = _accept_biased_sphere(rng, weights, d, bound, n)
+    u = _accept_biased_sphere(rng, weights, d, bound, size)
     coeffs = u * np.sqrt(scale2)
     samples = coeffs @ vecs.T
     samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-    if size is None:
-        return StateVector(samples[0], rho.factorization, normalized=True)
     return GapSampleBatch(samples, rho, "DAP_def2")
 
 
 def sample_gap_via_purification(
-    stream_or_rng, rho: DensityMatrix, size: int | None = None
-):
+    stream_or_rng, rho: DensityMatrix, size: int
+) -> GapSampleBatch:
     """GAP(rho) by conditioning a purification on a biased ancilla draw.
 
     The ancilla vector is drawn from the uniform sphere reweighted by the
@@ -339,20 +296,17 @@ def sample_gap_via_purification(
     """
     p, vecs = _eigensystem(rho)
     rng = _rng_of(stream_or_rng)
-    n = size if size is not None else 1
     d = rho.dim
     bound = float(p.max())
 
     def weights(u):
         return (np.abs(u) ** 2) @ p
 
-    psi2 = _accept_biased_sphere(rng, weights, d, bound, n)
+    psi2 = _accept_biased_sphere(rng, weights, d, bound, size)
     # <psi2|Phi> in rho's eigenvector basis: coordinate j is sqrt(p_j) * conj(psi2_j).
     coeffs = np.sqrt(p) * psi2.conj()
     samples = coeffs @ vecs.T
     samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-    if size is None:
-        return StateVector(samples[0], rho.factorization, normalized=True)
     return GapSampleBatch(samples, rho, "purification_def3")
 
 
@@ -457,11 +411,6 @@ def sample_haar_unitary(stream_or_rng, dim: int) -> np.ndarray:
     if isinstance(stream_or_rng, (RandomStream, np.random.Generator)):
         return sample_haar_frames(stream_or_rng, dim, dim, 1)[0]
     return sample_haar_frames(stream_or_rng, dim, dim, len(stream_or_rng))
-
-
-def sample_haar_onb(stream_or_rng, dim: int, factor_label: str) -> OrthonormalBasis:
-    """Haar-random orthonormal basis of one labeled factor."""
-    return OrthonormalBasis(sample_haar_unitary(stream_or_rng, dim), factor_label)
 
 
 def sample_reduced_grams(

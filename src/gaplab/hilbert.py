@@ -1,27 +1,25 @@
-"""Finite-dimensional Hilbert space values and linear-algebra operations.
+"""Labeled tensor-product spaces and density matrices on them.
 
 A composite space is described by an ordered list of labeled tensor factors.
 Flat vector and matrix indices are always row-major over the factors in the
-order listed, so the amplitude tensor of a state on S (x) B is
-``amplitudes.reshape(dim_S, dim_B)`` with the S index varying slowest.
+order listed, so a state's amplitudes on S (x) B reshape to (dim_S, dim_B)
+with the S index varying slowest.
 
-All values are immutable after construction and validate their defining
-properties on construction (tolerances noted per type).
+Values are immutable after construction and validate their defining
+properties on construction (tolerances noted per type).  The one-state
+operations (state vectors, partial traces, partial inner products) are test
+oracles in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
-NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 TRACE_TOL = 1e-10
-ORTHONORMALITY_TOL = 1e-10
 
 # Eigenvalue checks cost O(dim^3); above this size they are skipped unless
 # explicitly requested.
@@ -66,63 +64,12 @@ class SpaceFactorization:
         except ValueError:
             raise KeyError(f"no factor labeled {label!r} in {self.labels}") from None
 
-    def dim_of(self, label: str) -> int:
-        return self.dims[self.axis(label)]
-
-    def without(self, labels: Iterable[str]) -> "SpaceFactorization":
-        drop = set(labels)
-        for lbl in drop:
-            self.axis(lbl)
-        kept = [(l, d) for l, d in zip(self.labels, self.dims) if l not in drop]
-        if not kept:
-            raise ValueError("cannot drop every factor")
-        return SpaceFactorization(tuple(l for l, _ in kept), tuple(d for _, d in kept))
-
     def joined_with(self, other: "SpaceFactorization") -> "SpaceFactorization":
         return SpaceFactorization(self.labels + other.labels, self.dims + other.dims)
 
 
 def single_factor(label: str, dim: int) -> SpaceFactorization:
     return SpaceFactorization((label,), (int(dim),))
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """A vector on a factorized space, optionally marked as unit-normalized."""
-
-    amplitudes: np.ndarray
-    factorization: SpaceFactorization
-    normalized: bool = False
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1:
-            raise ValueError(f"amplitudes must be 1-D, got shape {amps.shape}")
-        if amps.shape[0] != self.factorization.total_dim:
-            raise ValueError(
-                f"amplitude length {amps.shape[0]} does not match "
-                f"total dimension {self.factorization.total_dim}"
-            )
-        object.__setattr__(self, "amplitudes", _frozen_array(amps))
-        if self.normalized and abs(self.norm() - 1.0) > NORM_TOL:
-            raise ValueError(f"state marked normalized has norm {self.norm()!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def tensor(self) -> np.ndarray:
-        """Amplitudes reshaped to one axis per factor (row-major)."""
-        return self.amplitudes.reshape(self.factorization.dims)
-
-    def normalized_copy(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n, self.factorization, normalized=True)
 
 
 @dataclass(frozen=True)
@@ -167,113 +114,17 @@ class DensityMatrix:
         return np.linalg.eigh(self.entries)
 
 
-@dataclass(frozen=True)
-class OrthonormalBasis:
-    """Orthonormal columns spanning (a subspace of) one labeled factor."""
-
-    vectors: np.ndarray
-    factor_label: str
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=np.complex128)
-        if v.ndim != 2:
-            raise ValueError("vectors must be a 2-D array of columns")
-        gram = v.conj().T @ v
-        defect = np.max(np.abs(gram - np.eye(v.shape[1])))
-        if defect > ORTHONORMALITY_TOL:
-            raise ValueError(f"columns not orthonormal: defect {defect:.3e}")
-        object.__setattr__(self, "vectors", _frozen_array(v))
-
-    @classmethod
-    def computational(cls, dim: int, factor_label: str) -> "OrthonormalBasis":
-        return cls(np.eye(dim, dtype=np.complex128), factor_label)
-
-    @property
-    def space_dim(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def num_vectors(self) -> int:
-        return self.vectors.shape[1]
-
-    def column(self, i: int) -> np.ndarray:
-        return self.vectors[:, i]
-
-
-def maximally_mixed(factorization: SpaceFactorization) -> DensityMatrix:
-    d = factorization.total_dim
-    return DensityMatrix(np.eye(d, dtype=np.complex128) / d, factorization)
-
-
-def pure_density_matrix(psi: StateVector) -> DensityMatrix:
-    """|psi><psi| of a normalized state."""
-    v = psi.amplitudes
-    n2 = float(np.vdot(v, v).real)
-    if abs(n2 - 1.0) > 1e-9:
-        raise ValueError("pure_density_matrix expects a normalized state")
-    return DensityMatrix(np.outer(v, v.conj()) / n2, psi.factorization)
-
-
-def tensor_product(a, b):
-    """Kronecker product of two StateVectors or two DensityMatrices.
+def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
+    """Kronecker product of two density matrices.
 
     The factor lists concatenate in order, so flat indices of the product
     follow the row-major convention of the joined factorization.
     """
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(
-            np.kron(a.amplitudes, b.amplitudes),
-            a.factorization.joined_with(b.factorization),
-            normalized=a.normalized and b.normalized,
-        )
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(
-            np.kron(a.entries, b.entries),
-            a.factorization.joined_with(b.factorization),
-            check_psd=False,
-        )
-    raise TypeError("tensor_product takes two StateVectors or two DensityMatrices")
-
-
-def partial_trace(rho: DensityMatrix, traced: str | Iterable[str]) -> DensityMatrix:
-    """Trace out the named factors, keeping the rest in their original order."""
-    if isinstance(traced, str):
-        traced = (traced,)
-    traced = tuple(traced)
-    fact = rho.factorization
-    remaining = fact.without(traced)
-    dims = fact.dims
-    k = len(dims)
-    t = rho.entries.reshape(dims + dims)
-    # Contract each traced axis pair, starting from the rightmost so axis
-    # positions stay valid as the tensor loses axes.
-    traced_axes = sorted((fact.axis(lbl) for lbl in traced), reverse=True)
-    nfac = k
-    for ax in traced_axes:
-        t = np.trace(t, axis1=ax, axis2=ax + nfac)
-        nfac -= 1
-    d = remaining.total_dim
-    return DensityMatrix(t.reshape(d, d), remaining, check_psd=False)
-
-
-def partial_inner_product(
-    bra: np.ndarray, psi: StateVector, factor_label: str
-) -> StateVector:
-    """Contract <bra| against one factor of psi, returning a vector on the rest.
-
-    Antilinear in ``bra`` and linear in ``psi``.  The result is generally not
-    normalized; its squared norm is the outcome weight of ``bra``.
-    """
-    fact = psi.factorization
-    ax = fact.axis(factor_label)
-    b = np.asarray(bra, dtype=np.complex128)
-    if b.shape != (fact.dims[ax],):
-        raise ValueError(
-            f"bra has shape {b.shape}, factor {factor_label!r} has dim {fact.dims[ax]}"
-        )
-    t = np.tensordot(b.conj(), psi.tensor(), axes=([0], [ax]))
-    remaining = fact.without((factor_label,))
-    return StateVector(t.reshape(-1), remaining)
+    return DensityMatrix(
+        np.kron(a.entries, b.entries),
+        a.factorization.joined_with(b.factorization),
+        check_psd=False,
+    )
 
 
 def trace_distance(a, b) -> float:
@@ -282,9 +133,3 @@ def trace_distance(a, b) -> float:
     mb = b.entries if isinstance(b, DensityMatrix) else np.asarray(b)
     eigs = np.linalg.eigvalsh(ma - mb)
     return float(0.5 * np.sum(np.abs(eigs)))
-
-
-def purity(rho) -> float:
-    """tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state."""
-    m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    return float(np.sum(np.abs(m) ** 2))

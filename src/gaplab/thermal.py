@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DensityMatrix, SpaceFactorization, StateVector
+from .hilbert import DensityMatrix, SpaceFactorization
 from .ensembles import _rng_of, complex_normals
 
 SHELL_EDGE_TOL = 1e-12
@@ -249,22 +249,15 @@ def energy_shell(h: HamiltonianSpec, energy: float, delta: float) -> EnergyShell
     return EnergyShell(h, float(energy), float(delta), np.arange(lo, hi))
 
 
-def sample_shell_state(stream_or_rng, shell: EnergyShell, size: int | None = None):
-    """Uniform (Haar) random state within the shell's spanned subspace.
-
-    Returns a normalized StateVector, or a (size, dim) array of normalized
-    rows when ``size`` is given.
-    """
+def sample_shell_state(stream_or_rng, shell: EnergyShell, size: int) -> np.ndarray:
+    """A (size, dim) array of normalized rows, each a uniform (Haar) random
+    state within the shell's spanned subspace."""
     rng = _rng_of(stream_or_rng)
-    n = size if size is not None else 1
-    k = shell.shell_dim
-    z = complex_normals(rng, (n, k))
+    z = complex_normals(rng, (size, shell.shell_dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     h = shell.hamiltonian
-    states = np.zeros((n, h.dim), dtype=np.complex128)
+    states = np.zeros((size, h.dim), dtype=np.complex128)
     states[:, h.flat_indices(shell.member_ranks)] = z
-    if size is None:
-        return StateVector(states[0], h.factorization, normalized=True)
     return states
 
 

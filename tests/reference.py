@@ -1,7 +1,12 @@
 """Exact reference implementations that the package itself does not need.
 
 Tests use these as oracles: dense or one-at-a-time forms of quantities the
-package computes in a cheaper or batched way.
+package computes in a cheaper or batched way.  The package draws and
+conditions states only in batches, as rows of arrays; here live the
+one-state forms: a state vector on labeled factors, orthonormal bases,
+partial traces and partial inner products, conditioning one state on one
+given basis, dense thermal states, and a conditional-DM trial run one at a
+time.
 """
 
 import functools
@@ -24,12 +29,7 @@ from gaplab.experiments import (
     _conditional_dm_shell,
     fixed_probes,
 )
-from gaplab.hilbert import (
-    DensityMatrix,
-    OrthonormalBasis,
-    StateVector,
-    partial_inner_product,
-)
+from gaplab.hilbert import DensityMatrix, SpaceFactorization, _frozen_array
 from gaplab.parallel import run_tasks
 from gaplab.thermal import (
     EnergyShell,
@@ -38,6 +38,166 @@ from gaplab.thermal import (
     energy_shell,
     log_partition_function,
 )
+
+NORM_TOL = 1e-12
+ORTHONORMALITY_TOL = 1e-10
+
+
+# ---------------------------------------------------------------------------
+# one state on labeled factors, and the operations on it
+
+
+def without(fact: SpaceFactorization, labels: Iterable[str]) -> SpaceFactorization:
+    """The factorization with the named factors dropped, the rest in order."""
+    drop = set(labels)
+    for lbl in drop:
+        fact.axis(lbl)
+    kept = [(l, d) for l, d in zip(fact.labels, fact.dims) if l not in drop]
+    if not kept:
+        raise ValueError("cannot drop every factor")
+    return SpaceFactorization(tuple(l for l, _ in kept), tuple(d for _, d in kept))
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """A vector on a factorized space, optionally marked as unit-normalized."""
+
+    amplitudes: np.ndarray
+    factorization: SpaceFactorization
+    normalized: bool = False
+
+    def __post_init__(self):
+        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        if amps.ndim != 1:
+            raise ValueError(f"amplitudes must be 1-D, got shape {amps.shape}")
+        if amps.shape[0] != self.factorization.total_dim:
+            raise ValueError(
+                f"amplitude length {amps.shape[0]} does not match "
+                f"total dimension {self.factorization.total_dim}"
+            )
+        object.__setattr__(self, "amplitudes", _frozen_array(amps))
+        if self.normalized and abs(self.norm() - 1.0) > NORM_TOL:
+            raise ValueError(f"state marked normalized has norm {self.norm()!r}")
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amplitudes))
+
+    def tensor(self) -> np.ndarray:
+        """Amplitudes reshaped to one axis per factor (row-major)."""
+        return self.amplitudes.reshape(self.factorization.dims)
+
+    def normalized_copy(self) -> "StateVector":
+        n = self.norm()
+        if n == 0.0:
+            raise ValueError("cannot normalize the zero vector")
+        return StateVector(self.amplitudes / n, self.factorization, normalized=True)
+
+
+@dataclass(frozen=True)
+class OrthonormalBasis:
+    """Orthonormal columns spanning (a subspace of) one labeled factor."""
+
+    vectors: np.ndarray
+    factor_label: str
+
+    def __post_init__(self):
+        v = np.asarray(self.vectors, dtype=np.complex128)
+        if v.ndim != 2:
+            raise ValueError("vectors must be a 2-D array of columns")
+        gram = v.conj().T @ v
+        defect = np.max(np.abs(gram - np.eye(v.shape[1])))
+        if defect > ORTHONORMALITY_TOL:
+            raise ValueError(f"columns not orthonormal: defect {defect:.3e}")
+        object.__setattr__(self, "vectors", _frozen_array(v))
+
+    @classmethod
+    def computational(cls, dim: int, factor_label: str) -> "OrthonormalBasis":
+        return cls(np.eye(dim, dtype=np.complex128), factor_label)
+
+    @property
+    def space_dim(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def num_vectors(self) -> int:
+        return self.vectors.shape[1]
+
+    def column(self, i: int) -> np.ndarray:
+        return self.vectors[:, i]
+
+
+def sample_haar_onb(stream_or_rng, dim: int, factor_label: str) -> OrthonormalBasis:
+    """Haar-random orthonormal basis of one labeled factor."""
+    return OrthonormalBasis(sample_haar_unitary(stream_or_rng, dim), factor_label)
+
+
+def state_tensor_product(a: StateVector, b: StateVector) -> StateVector:
+    """Kronecker product of two states, factor lists concatenated in order."""
+    return StateVector(
+        np.kron(a.amplitudes, b.amplitudes),
+        a.factorization.joined_with(b.factorization),
+        normalized=a.normalized and b.normalized,
+    )
+
+
+def maximally_mixed(factorization: SpaceFactorization) -> DensityMatrix:
+    d = factorization.total_dim
+    return DensityMatrix(np.eye(d, dtype=np.complex128) / d, factorization)
+
+
+def pure_density_matrix(psi: StateVector) -> DensityMatrix:
+    """|psi><psi| of a normalized state."""
+    v = psi.amplitudes
+    n2 = float(np.vdot(v, v).real)
+    if abs(n2 - 1.0) > 1e-9:
+        raise ValueError("pure_density_matrix expects a normalized state")
+    return DensityMatrix(np.outer(v, v.conj()) / n2, psi.factorization)
+
+
+def purity(rho) -> float:
+    """tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state."""
+    m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    return float(np.sum(np.abs(m) ** 2))
+
+
+def partial_trace(rho: DensityMatrix, traced: str | Iterable[str]) -> DensityMatrix:
+    """Trace out the named factors, keeping the rest in their original order."""
+    if isinstance(traced, str):
+        traced = (traced,)
+    traced = tuple(traced)
+    fact = rho.factorization
+    remaining = without(fact, traced)
+    dims = fact.dims
+    k = len(dims)
+    t = rho.entries.reshape(dims + dims)
+    # Contract each traced axis pair, starting from the rightmost so axis
+    # positions stay valid as the tensor loses axes.
+    traced_axes = sorted((fact.axis(lbl) for lbl in traced), reverse=True)
+    nfac = k
+    for ax in traced_axes:
+        t = np.trace(t, axis1=ax, axis2=ax + nfac)
+        nfac -= 1
+    d = remaining.total_dim
+    return DensityMatrix(t.reshape(d, d), remaining, check_psd=False)
+
+
+def partial_inner_product(
+    bra: np.ndarray, psi: StateVector, factor_label: str
+) -> StateVector:
+    """Contract <bra| against one factor of psi, returning a vector on the rest.
+
+    Antilinear in ``bra`` and linear in ``psi``.  The result is generally not
+    normalized; its squared norm is the outcome weight of ``bra``.
+    """
+    fact = psi.factorization
+    ax = fact.axis(factor_label)
+    b = np.asarray(bra, dtype=np.complex128)
+    if b.shape != (fact.dims[ax],):
+        raise ValueError(
+            f"bra has shape {b.shape}, factor {factor_label!r} has dim {fact.dims[ax]}"
+        )
+    t = np.tensordot(b.conj(), psi.tensor(), axes=([0], [ax]))
+    return StateVector(t.reshape(-1), without(fact, (factor_label,)))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +292,7 @@ def _split_matrix(
         raise ValueError("cannot trace out every remaining factor")
     t = v.tensor().transpose(kept_axes + traced_axes)
     kept_dim = int(np.prod([fact.dims[i] for i in kept_axes]))
-    return t.reshape(kept_dim, -1), fact.without(traced_labels)
+    return t.reshape(kept_dim, -1), without(fact, traced_labels)
 
 
 def conditional_density_matrix(
@@ -177,7 +337,7 @@ def conditional_dm_from_s_average(
     if w < ZERO_WEIGHT:
         raise ValueError(f"outcome {y_index} has negligible weight {w:.3e}")
     rows = _rotated_outcome_matrix(v, s_basis)  # (num_s, kept)
-    kept_fact = v.factorization.without((s_basis.factor_label,))
+    kept_fact = without(v.factorization, (s_basis.factor_label,))
     acc = rows.T @ rows.conj()  # sum_k u_k u_k^dagger over kept factors
     entries = acc / acc.trace().real
     entries = 0.5 * (entries + entries.conj().T)

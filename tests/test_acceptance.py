@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from gaplab.ensembles import RandomStream, sample_haar_onb
+from gaplab.ensembles import RandomStream
 from gaplab.experiments import (
     CanonicalTypicalityConfig,
     ConditionalDmConfig,
@@ -25,14 +25,7 @@ from gaplab.experiments import (
     run_gap_distribution,
     run_gaussian_surrogate_concentration,
 )
-from gaplab.hilbert import (
-    SpaceFactorization,
-    StateVector,
-    partial_trace,
-    pure_density_matrix,
-    purity,
-    trace_distance,
-)
+from gaplab.hilbert import SpaceFactorization, trace_distance
 from gaplab.runner import report_envelope
 from gaplab.thermal import (
     canonical_density_matrix,
@@ -41,9 +34,14 @@ from gaplab.thermal import (
 )
 
 from reference import (
+    StateVector,
     conditional_density_matrix,
     conditional_dm_from_s_average,
     outcome_distribution,
+    partial_trace,
+    pure_density_matrix,
+    purity,
+    sample_haar_onb,
 )
 
 SEED = 0

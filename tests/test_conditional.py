@@ -9,29 +9,22 @@ from gaplab.conditional import (
     draw_outcomes,
     outcome_weights,
 )
-from gaplab.ensembles import (
-    RandomStream,
-    sample_haar_frames,
-    sample_haar_onb,
-    sample_haar_unitary,
-)
-from gaplab.hilbert import (
-    OrthonormalBasis,
-    SpaceFactorization,
-    StateVector,
-    partial_trace,
-    pure_density_matrix,
-    tensor_product,
-    trace_distance,
-)
+from gaplab.ensembles import RandomStream, sample_haar_frames, sample_haar_unitary
+from gaplab.hilbert import SpaceFactorization, trace_distance
 
 from reference import (
     ConditionalOutcome,
+    OrthonormalBasis,
+    StateVector,
     conditional_density_matrix,
     conditional_dm_from_s_average,
     conditional_wave_function,
     outcome_distribution,
+    partial_trace,
+    pure_density_matrix,
     sample_conditional_wf,
+    sample_haar_onb,
+    state_tensor_product,
 )
 
 
@@ -101,7 +94,7 @@ class TestConditionalWaveFunction:
         y_part = StateVector(
             np.array([1.0, 0.0]), SpaceFactorization(("Y",), (2,)), normalized=True
         )
-        psi = tensor_product(s_part, y_part)
+        psi = state_tensor_product(s_part, y_part)
         basis = OrthonormalBasis.computational(2, "Y")
         with pytest.raises(ValueError, match="weight"):
             conditional_wave_function(psi, basis, 1)
@@ -128,7 +121,7 @@ class TestSampleConditionalWf:
         y_part = StateVector(
             np.array([0.0, 1.0]), SpaceFactorization(("Y",), (2,)), normalized=True
         )
-        psi = tensor_product(s_part, y_part)
+        psi = state_tensor_product(s_part, y_part)
         basis = OrthonormalBasis.computational(2, "Y")
         gen = RandomStream(50).generator()
         for _ in range(100):
@@ -220,7 +213,7 @@ class TestSAverageConstruction:
             SpaceFactorization(("Y", "s"), (2, 2)),
             normalized=True,
         )
-        psi = tensor_product(s_part, ys_part)
+        psi = state_tensor_product(s_part, ys_part)
         basis = OrthonormalBasis.computational(2, "Y")
         s_basis = OrthonormalBasis.computational(2, "s")
         with pytest.raises(ValueError, match="weight"):
