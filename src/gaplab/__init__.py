@@ -8,7 +8,6 @@ from .conditional import condition_on_random_basis
 from .ensembles import (
     GAP_SAMPLERS,
     AcceptanceStarvationError,
-    GapSampleBatch,
     RandomStream,
     RejectionOracleResult,
     empirical_covariance,
@@ -30,13 +29,7 @@ from .experiments import (
     fixed_probes,
     named_rho,
 )
-from .hilbert import (
-    DensityMatrix,
-    SpaceFactorization,
-    single_factor,
-    tensor_product,
-    trace_distance,
-)
+from .hilbert import trace_distance
 from .runner import RunConfig, load_run_config, main
 from .thermal import (
     EnergyShell,
@@ -54,17 +47,14 @@ from .thermal import (
 __all__ = [
     "AcceptanceStarvationError",
     "CheckResult",
-    "DensityMatrix",
     "EXPERIMENTS",
     "EnergyShell",
     "ExperimentReport",
     "GAP_SAMPLERS",
-    "GapSampleBatch",
     "HamiltonianSpec",
     "RandomStream",
     "RejectionOracleResult",
     "RunConfig",
-    "SpaceFactorization",
     "build_composite",
     "canonical_density_matrix",
     "canonical_mean_energy",
@@ -87,9 +77,7 @@ __all__ = [
     "sample_haar_unitary",
     "sample_shell_state",
     "sample_uniform_sphere",
-    "single_factor",
     "synth_bath_spectrum",
-    "tensor_product",
     "trace_distance",
     "variance_ratio_prediction",
 ]

@@ -21,6 +21,9 @@ is realized three independent ways, which agree exactly in law:
 ``rejection_oracle_ga`` provides a deliberately naive fourth route to the
 adjusted (pre-projection) ensemble for cross-checks in tests.
 
+Every sampler takes rho as a (dim, dim) complex array, which it only
+reads, and returns its draws as the rows of a (size, dim) array.
+
 All draws flow through ``RandomStream``: a (seed, stream_index) pair that
 deterministically names one PCG64 sequence, so every sampler is bit-for-bit
 reproducible and independent streams can be assigned to parallel trials.
@@ -33,10 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DensityMatrix
 from . import kernels
-
-METHOD_TAGS = ("GAP_def1", "DAP_def2", "purification_def3", "rejection_oracle")
 
 
 class AcceptanceStarvationError(RuntimeError):
@@ -66,34 +66,9 @@ class RandomStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-@dataclass(frozen=True)
-class GapSampleBatch:
-    """Normalized sample vectors (rows) drawn from one GAP realization."""
-
-    amplitudes: np.ndarray
-    source_rho: DensityMatrix
-    method_tag: str
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[1] != self.source_rho.dim:
-            raise ValueError(f"bad sample array shape {a.shape}")
-        if self.method_tag not in METHOD_TAGS:
-            raise ValueError(f"unknown method tag {self.method_tag!r}")
-        norms = np.linalg.norm(a, axis=1)
-        if norms.size and np.max(np.abs(norms - 1.0)) > 1e-12:
-            raise ValueError("batch contains a non-normalized sample")
-        a = np.ascontiguousarray(a)
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-
-    def __len__(self) -> int:
-        return self.amplitudes.shape[0]
-
-
-def _eigensystem(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+def _eigensystem(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues as a probability vector (clipped, renormalized) plus basis."""
-    vals, vecs = rho.eigensystem()
+    vals, vecs = np.linalg.eigh(rho)
     p = np.clip(vals, 0.0, None)
     p = p / p.sum()
     return p, vecs
@@ -144,7 +119,7 @@ def sample_uniform_sphere(stream_or_rng, dim: int, size: int) -> np.ndarray:
     return z
 
 
-def sample_g(stream_or_rng, rho: DensityMatrix, size: int) -> np.ndarray:
+def sample_g(stream_or_rng, rho: np.ndarray, size: int) -> np.ndarray:
     """The Gaussian ensemble of rho: (size, dim) unnormalized rows with
     covariance rho.
 
@@ -169,7 +144,7 @@ def _ga_coefficients(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndar
     return coeffs
 
 
-def sample_ga(stream_or_rng, rho: DensityMatrix, size: int) -> np.ndarray:
+def sample_ga(stream_or_rng, rho: np.ndarray, size: int) -> np.ndarray:
     """The adjusted (size-biased) Gaussian ensemble of rho, not yet projected.
 
     Each draw picks one eigendirection J with probability p_J, gives it
@@ -182,7 +157,7 @@ def sample_ga(stream_or_rng, rho: DensityMatrix, size: int) -> np.ndarray:
     return _ga_coefficients(rng, p, size) @ vecs.T
 
 
-def sample_gap(stream_or_rng, rho: DensityMatrix, size: int) -> GapSampleBatch:
+def sample_gap(stream_or_rng, rho: np.ndarray, size: int) -> np.ndarray:
     """GAP(rho) by the exact mixture construction: adjusted draw, projected."""
     p, vecs = _eigensystem(rho)
     rng = _rng_of(stream_or_rng)
@@ -190,16 +165,17 @@ def sample_gap(stream_or_rng, rho: DensityMatrix, size: int) -> GapSampleBatch:
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
     samples = coeffs @ vecs.T
     samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-    return GapSampleBatch(samples, rho, "GAP_def1")
+    return samples
 
 
-def sample_d(stream_or_rng, rho: DensityMatrix, size: int) -> np.ndarray:
+def sample_d(stream_or_rng, rho: np.ndarray, size: int) -> np.ndarray:
     """Pushforward of the uniform sphere measure through sqrt(dim * rho):
     (size, dim) rows."""
     p, vecs = _eigensystem(rho)
     rng = _rng_of(stream_or_rng)
-    u = sample_uniform_sphere(rng, rho.dim, size)
-    return (u * np.sqrt(rho.dim * p)) @ vecs.T
+    d = p.shape[0]
+    u = sample_uniform_sphere(rng, d, size)
+    return (u * np.sqrt(d * p)) @ vecs.T
 
 
 # Largest row block of a rejection sampler's proposal batch, in bytes.  A
@@ -260,9 +236,7 @@ def _accept_biased_sphere(
     return np.concatenate(have, axis=0)[:n]
 
 
-def sample_gap_via_dap(
-    stream_or_rng, rho: DensityMatrix, size: int
-) -> GapSampleBatch:
+def sample_gap_via_dap(stream_or_rng, rho: np.ndarray, size: int) -> np.ndarray:
     """GAP(rho) as adjust-then-project applied to the sqrt(dim*rho) pushforward.
 
     The adjustment density |psi|^2 on D(rho) draws is bounded by
@@ -270,7 +244,7 @@ def sample_gap_via_dap(
     """
     p, vecs = _eigensystem(rho)
     rng = _rng_of(stream_or_rng)
-    d = rho.dim
+    d = p.shape[0]
     scale2 = d * p  # squared coordinate scaling of the pushforward
     bound = float(scale2.max())
 
@@ -281,12 +255,12 @@ def sample_gap_via_dap(
     coeffs = u * np.sqrt(scale2)
     samples = coeffs @ vecs.T
     samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-    return GapSampleBatch(samples, rho, "DAP_def2")
+    return samples
 
 
 def sample_gap_via_purification(
-    stream_or_rng, rho: DensityMatrix, size: int
-) -> GapSampleBatch:
+    stream_or_rng, rho: np.ndarray, size: int
+) -> np.ndarray:
     """GAP(rho) by conditioning a purification on a biased ancilla draw.
 
     The ancilla vector is drawn from the uniform sphere reweighted by the
@@ -296,7 +270,7 @@ def sample_gap_via_purification(
     """
     p, vecs = _eigensystem(rho)
     rng = _rng_of(stream_or_rng)
-    d = rho.dim
+    d = p.shape[0]
     bound = float(p.max())
 
     def weights(u):
@@ -307,7 +281,7 @@ def sample_gap_via_purification(
     coeffs = np.sqrt(p) * psi2.conj()
     samples = coeffs @ vecs.T
     samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-    return GapSampleBatch(samples, rho, "purification_def3")
+    return samples
 
 
 @dataclass(frozen=True)
@@ -315,19 +289,14 @@ class RejectionOracleResult:
     """Unnormalized adjusted-ensemble draws plus rejection diagnostics."""
 
     samples: np.ndarray
-    source_rho: DensityMatrix
     cap: float
     acceptance_rate: float
     proposals: int
     tail_fraction: float  # fraction of proposals with |psi|^2 above the cap
 
-    def normalized_batch(self) -> GapSampleBatch:
-        s = self.samples / np.linalg.norm(self.samples, axis=1, keepdims=True)
-        return GapSampleBatch(s, self.source_rho, "rejection_oracle")
-
 
 def rejection_oracle_ga(
-    stream_or_rng, rho: DensityMatrix, cap: float = 50.0, size: int = 1
+    stream_or_rng, rho: np.ndarray, cap: float = 50.0, size: int = 1
 ) -> RejectionOracleResult:
     """Slow reference sampler for the norm-square-adjusted Gaussian ensemble.
 
@@ -371,7 +340,6 @@ def rejection_oracle_ga(
     samples = coeffs @ vecs.T
     return RejectionOracleResult(
         samples=samples,
-        source_rho=rho,
         cap=float(cap),
         acceptance_rate=count / proposals,
         proposals=proposals,

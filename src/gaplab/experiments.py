@@ -35,7 +35,6 @@ from .conditional import (
 )
 from .ensembles import (
     GAP_SAMPLERS,
-    GapSampleBatch,
     RandomStream,
     complex_normals,
     empirical_covariance,
@@ -46,12 +45,7 @@ from .ensembles import (
     sample_reduced_grams,
     sample_uniform_sphere,
 )
-from .hilbert import (
-    DensityMatrix,
-    single_factor,
-    tensor_product,
-    trace_distance,
-)
+from .hilbert import trace_distance
 from .parallel import run_tasks, run_trials
 from .stattests import anderson_normal, ks_2samp
 from .thermal import (
@@ -264,21 +258,13 @@ def ks_pvalue(a: np.ndarray, b: np.ndarray) -> float:
     return ks_2samp(a, b)[1]
 
 
-def estimate_density_matrix(samples, factorization=None) -> DensityMatrix:
-    """Average projector of a batch of normalized vectors.
+def estimate_density_matrix(samples) -> np.ndarray:
+    """Average projector of the normalized rows of a (size, dim) array.
 
     Checks that accumulation roundoff kept the raw average Hermitian to
     1e-8, then symmetrizes and rescales so the trace is exactly one.
     """
-    if isinstance(samples, GapSampleBatch):
-        arr = samples.amplitudes
-        fact = samples.source_rho.factorization
-    else:
-        arr = np.asarray(samples, dtype=np.complex128)
-        if factorization is None:
-            fact = single_factor("H", arr.shape[1])
-        else:
-            fact = factorization
+    arr = np.asarray(samples, dtype=np.complex128)
     norms = np.linalg.norm(arr, axis=1)
     if np.max(np.abs(norms - 1.0)) > 1e-9:
         raise ValueError("estimate_density_matrix expects normalized rows")
@@ -287,25 +273,23 @@ def estimate_density_matrix(samples, factorization=None) -> DensityMatrix:
     if asym > 1e-8:
         raise RuntimeError(f"accumulated projector asymmetry {asym:.3e}")
     h = 0.5 * (m + m.conj().T)
-    h = h / h.trace().real
-    return DensityMatrix(h, fact, check_psd=False)
+    return h / h.trace().real
 
 
 NAMED_RHOS = ("maximally_mixed_2", "spiked_2", "random_rank3_dim4")
 
 
-def named_rho(name: str) -> DensityMatrix:
-    """Frozen reference density matrices used by the sampler experiments."""
+def named_rho(name: str) -> np.ndarray:
+    """Reference density matrices used by the sampler experiments."""
     if name == "maximally_mixed_2":
-        return DensityMatrix(np.eye(2, dtype=complex) / 2, single_factor("H", 2))
+        return np.eye(2, dtype=complex) / 2
     if name == "spiked_2":
-        return DensityMatrix(np.diag([0.9, 0.1]).astype(complex), single_factor("H", 2))
+        return np.diag([0.9, 0.1]).astype(complex)
     if name == "random_rank3_dim4":
         v = sample_haar_unitary(RandomStream(PROBE_SEED, 424242), 4)
         p = np.array([0.5, 0.3, 0.2, 0.0])
-        entries = (v * p) @ v.conj().T
-        entries = 0.5 * (entries + entries.conj().T)
-        return DensityMatrix(entries, single_factor("H", 4))
+        rho = (v * p) @ v.conj().T
+        return 0.5 * (rho + rho.conj().T)
     raise ValueError(f"unknown reference density matrix {name!r}")
 
 
@@ -368,7 +352,7 @@ def run_gap_definition_equivalence(
 
     for r_idx, rho_name in enumerate(config.rho_names):
         rho = named_rho(rho_name)
-        probes = fixed_probes(rho.dim, config.probe_count)
+        probes = fixed_probes(rho.shape[0], config.probe_count)
         base = AUX_STREAM_BASE + 64 * r_idx
 
         for m_idx, (tag, sampler) in enumerate(GAP_SAMPLERS.items()):
@@ -391,14 +375,16 @@ def run_gap_definition_equivalence(
             batch = sampler(
                 RandomStream(seed, base + 8 + m_idx), rho, size=config.ks_samples
             )
-            ks_arrays[tag] = batch.amplitudes
+            ks_arrays[tag] = batch
         oracle = rejection_oracle_ga(
             RandomStream(seed, base + 12),
             rho,
             cap=config.oracle_cap,
             size=config.ks_samples,
         )
-        ks_arrays["rejection_oracle"] = oracle.normalized_batch().amplitudes
+        ks_arrays["rejection_oracle"] = oracle.samples / np.linalg.norm(
+            oracle.samples, axis=1, keepdims=True
+        )
         statistics[f"oracle_acceptance_rate[{rho_name}]"] = oracle.acceptance_rate
         statistics[f"oracle_tail_fraction[{rho_name}]"] = oracle.tail_fraction
 
@@ -479,7 +465,7 @@ def run_unitary_covariance(
     """Pushing GAP(rho) through U matches sampling GAP(U rho U^dagger)."""
     t0 = time.perf_counter()
     rho = named_rho(config.rho_name)
-    d = rho.dim
+    d = rho.shape[0]
     probes = fixed_probes(d, config.probe_count)
     checks: list[CheckResult] = []
     statistics: dict = {}
@@ -495,25 +481,22 @@ def run_unitary_covariance(
     cov_bound = 3.0 / math.sqrt(config.n_samples)
 
     for u_idx, (u_name, u) in enumerate(unitaries.items()):
-        rotated_entries = u @ rho.entries @ u.conj().T
-        rotated_entries = 0.5 * (rotated_entries + rotated_entries.conj().T)
-        rho_rot = DensityMatrix(rotated_entries, rho.factorization, check_psd=False)
+        rho_rot = u @ rho @ u.conj().T
+        rho_rot = 0.5 * (rho_rot + rho_rot.conj().T)
         direct = sample_gap(
             RandomStream(seed, AUX_STREAM_BASE + 8 + 2 * u_idx),
             rho_rot,
             size=config.n_samples,
-        ).amplitudes
+        )
         pushed = (
             sample_gap(
                 RandomStream(seed, AUX_STREAM_BASE + 9 + 2 * u_idx),
                 rho,
                 size=config.n_samples,
-            ).amplitudes
+            )
             @ u.T
         )
-        dist = trace_distance(
-            empirical_covariance(pushed), rho_rot.entries
-        )
+        dist = trace_distance(empirical_covariance(pushed), rho_rot)
         statistics[f"pushed_cov_distance[{u_name}]"] = dist
         checks.append(
             _upper_check(
@@ -616,14 +599,10 @@ def _system_bath_shell(
 ) -> ShellSetup:
     """Shell of an equal-spaced system with a synthetic bath."""
     h_s = synth_bath_spectrum(
-        None, config.dim_system, "equal_spaced", config.system_scale, label="S"
+        None, config.dim_system, "equal_spaced", config.system_scale
     )
     h_b = synth_bath_spectrum(
-        RandomStream(seed, stream_base),
-        bath_dim,
-        config.bath_model,
-        bath_scale,
-        label="B",
+        RandomStream(seed, stream_base), bath_dim, config.bath_model, bath_scale
     )
     return _shell_setup(config, (h_s, h_b))
 
@@ -654,7 +633,7 @@ def _typicality_distances(
         RandomStream(seed, stream_base + 1), setup.shell, size=config.n_draws
     )
     grams = _reduced_grams(states, config.dim_system)
-    return _batched_trace_distance(grams, rho_s.entries)
+    return _batched_trace_distance(grams, rho_s)
 
 
 def run_canonical_typicality(
@@ -768,24 +747,18 @@ def heredity_check(
 ) -> tuple[list[CheckResult], dict]:
     """Conditionals of GAP(rho1 (x) rho2) on a random basis of factor 2
     follow GAP(rho1) exactly; checked by probe KS plus covariance."""
-    rho1 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), single_factor("A", 2))
+    rho1 = np.diag([0.7, 0.3]).astype(complex)
     p2 = 0.85 ** np.arange(16)
-    rho2 = DensityMatrix(
-        np.diag(p2 / p2.sum()).astype(complex), single_factor("C", 16)
-    )
-    product = tensor_product(rho1, rho2)
-    batch = sample_gap(
-        RandomStream(seed, stream_base), product, size=n_samples
-    ).amplitudes
+    rho2 = np.diag(p2 / p2.sum()).astype(complex)
+    product = np.kron(rho1, rho2)
+    batch = sample_gap(RandomStream(seed, stream_base), product, size=n_samples)
     rng = RandomStream(seed, stream_base + 1).generator()
     d1, d2 = 2, 16
     c = condition_on_random_basis(rng, batch.reshape(n_samples, d1, d2))
     ys = draw_outcomes(rng, outcome_weights(c))
     conditionals = c[np.arange(n_samples), :, ys]
     conditionals /= np.linalg.norm(conditionals, axis=1, keepdims=True)
-    reference = sample_gap(
-        RandomStream(seed, stream_base + 2), rho1, size=n_samples
-    ).amplitudes
+    reference = sample_gap(RandomStream(seed, stream_base + 2), rho1, size=n_samples)
     probes = fixed_probes(d1, probe_count)
     mc = probe_marginals(conditionals, probes)
     mr = probe_marginals(reference, probes)
@@ -800,7 +773,7 @@ def heredity_check(
                 "significance-level, Bonferroni",
             )
         )
-    cov_dist = trace_distance(empirical_covariance(conditionals), rho1.entries)
+    cov_dist = trace_distance(empirical_covariance(conditionals), rho1)
     checks.append(
         _upper_check(
             "heredity_covariance_matches",
@@ -833,12 +806,11 @@ def run_gap_distribution(
     d_s = config.dim_system
     (setup,) = gap_distribution_shells(config, seed)
     h, shell, beta = setup.h, setup.shell, setup.beta
-    rho_target = canonical_density_matrix(setup.factors[0], beta)
+    target = canonical_density_matrix(setup.factors[0], beta)
     probes = fixed_probes(d_s, config.probe_count)
     flat = h.flat_indices(shell.member_ranks)
     d_b = config.bath_dim
     m_inner = config.inner_draws
-    target = rho_target.entries
 
     def trial(t: int) -> tuple:
         rng = RandomStream(seed, t).generator()
@@ -874,8 +846,8 @@ def run_gap_distribution(
 
     def reference_marginals() -> np.ndarray:
         reference = sample_gap(
-            RandomStream(seed, AUX_STREAM_BASE + 2), rho_target, size=n_pool
-        ).amplitudes
+            RandomStream(seed, AUX_STREAM_BASE + 2), target, size=n_pool
+        )
         return probe_marginals(reference, probes)
 
     def heredity() -> tuple[list[CheckResult], dict]:
@@ -1006,17 +978,14 @@ def _conditional_dm_shell(
 ) -> ShellSetup:
     """Shell of system (x) y (x) s at the ds_idx-th traced dimension."""
     h_sys = synth_bath_spectrum(
-        None, config.dim_system, "equal_spaced", config.system_scale, label="S"
+        None, config.dim_system, "equal_spaced", config.system_scale
     )
-    h_y = synth_bath_spectrum(
-        None, config.dim_y, "equal_spaced", config.y_scale, label="y"
-    )
+    h_y = synth_bath_spectrum(None, config.dim_y, "equal_spaced", config.y_scale)
     h_s = synth_bath_spectrum(
         RandomStream(seed, AUX_STREAM_BASE + ds_idx),
         config.dim_s_values[ds_idx],
         config.s_model,
         config.s_scale,
-        label="s",
     )
     return _shell_setup(config, (h_sys, h_y, h_s))
 
@@ -1052,8 +1021,7 @@ def run_conditional_dm_concentration(
         setup = _conditional_dm_shell(config, seed, ds_idx)
         h_sys, _, h_s = setup.factors
         h, shell, beta = setup.h, setup.shell, setup.beta
-        rho_target = canonical_density_matrix(h_sys, beta)
-        target = rho_target.entries
+        target = canonical_density_matrix(h_sys, beta)
         vr_prediction = variance_ratio_prediction(h_s, beta)
         q_expected = np.array(
             [

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DensityMatrix, SpaceFactorization
 from .ensembles import _rng_of, complex_normals
 
 SHELL_EDGE_TOL = 1e-12
@@ -37,10 +36,8 @@ class HamiltonianSpec:
     """
 
     eigenvalues: np.ndarray
-    factor_labels: tuple[str, ...]
     factor_dims: tuple[int, ...]
     column_indices: np.ndarray
-    label: str
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -58,28 +55,20 @@ class HamiltonianSpec:
         ci.setflags(write=False)
         object.__setattr__(self, "eigenvalues", ev)
         object.__setattr__(self, "column_indices", ci)
-        # triggers the duplicate-label check
-        self.factorization
 
     @classmethod
-    def from_spectrum(cls, eigenvalues, label: str) -> "HamiltonianSpec":
+    def from_spectrum(cls, eigenvalues) -> "HamiltonianSpec":
         ev = np.asarray(eigenvalues, dtype=np.float64)
         order = np.argsort(ev, kind="stable")
         return cls(
             eigenvalues=ev[order],
-            factor_labels=(label,),
             factor_dims=(ev.shape[0],),
             column_indices=order.reshape(-1, 1),
-            label=label,
         )
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
-
-    @property
-    def factorization(self) -> SpaceFactorization:
-        return SpaceFactorization(self.factor_labels, self.factor_dims)
 
     def flat_indices(self, ranks: np.ndarray) -> np.ndarray:
         """Row-major flat indices at which the given eigenvectors are one-hot."""
@@ -99,10 +88,8 @@ def build_composite(a: HamiltonianSpec, b: HamiltonianSpec) -> HamiltonianSpec:
     )
     return HamiltonianSpec(
         eigenvalues=sums[order],
-        factor_labels=a.factor_labels + b.factor_labels,
         factor_dims=a.factor_dims + b.factor_dims,
         column_indices=column_indices,
-        label=f"{a.label}+{b.label}",
     )
 
 
@@ -138,13 +125,12 @@ def canonical_mean_energy(h: HamiltonianSpec, beta: float) -> float:
     return float(_boltzmann_weights(h, beta) @ h.eigenvalues)
 
 
-def canonical_density_matrix(h: HamiltonianSpec, beta: float) -> DensityMatrix:
-    """rho_beta = exp(-beta H)/Z on the factorized space of H, as a dense
-    (dim, dim) matrix: meant for a system factor, not a large composite."""
+def canonical_density_matrix(h: HamiltonianSpec, beta: float) -> np.ndarray:
+    """rho_beta = exp(-beta H)/Z on the space of H, as a dense (dim, dim)
+    complex matrix: meant for a system factor, not a large composite."""
     diag = np.zeros(h.dim, dtype=np.float64)
     diag[h.flat_indices(np.arange(h.dim))] = _boltzmann_weights(h, beta)
-    entries = np.diag(diag).astype(np.complex128)
-    return DensityMatrix(entries, h.factorization, check_psd=False)
+    return np.diag(diag).astype(np.complex128)
 
 
 def match_beta(
@@ -243,9 +229,7 @@ def energy_shell(h: HamiltonianSpec, energy: float, delta: float) -> EnergyShell
     lo = np.searchsorted(ev, energy - SHELL_EDGE_TOL, side="left")
     hi = np.searchsorted(ev, energy + delta - SHELL_EDGE_TOL, side="left")
     if hi <= lo:
-        raise ValueError(
-            f"no eigenvalues in [{energy}, {energy + delta}) for {h.label!r}"
-        )
+        raise ValueError(f"no eigenvalues in [{energy}, {energy + delta})")
     return EnergyShell(h, float(energy), float(delta), np.arange(lo, hi))
 
 
@@ -287,11 +271,7 @@ def _semicircle_quantiles(dim: int, radius: float) -> np.ndarray:
 
 
 def synth_bath_spectrum(
-    stream_or_rng,
-    dim: int,
-    model: str,
-    scale: float = 1.0,
-    label: str = "B",
+    stream_or_rng, dim: int, model: str, scale: float = 1.0
 ) -> HamiltonianSpec:
     """Synthetic bath Hamiltonian with a chosen level-statistics model,
     diagonal in the computational basis.
@@ -320,4 +300,4 @@ def synth_bath_spectrum(
         ev = np.zeros(dim)
     else:
         ev = _semicircle_quantiles(dim, scale)
-    return HamiltonianSpec.from_spectrum(ev, label=label)
+    return HamiltonianSpec.from_spectrum(ev)

@@ -1,17 +1,19 @@
 """Exact reference implementations that the package itself does not need.
 
 Tests use these as oracles: dense or one-at-a-time forms of quantities the
-package computes in a cheaper or batched way.  The package draws and
-conditions states only in batches, as rows of arrays; here live the
-one-state forms: a state vector on labeled factors, orthonormal bases,
-partial traces and partial inner products, conditioning one state on one
-given basis, dense thermal states, and a conditional-DM trial run one at a
-time.
+package computes in a cheaper or batched way.  The package carries density
+matrices as plain (d, d) arrays and draws and conditions states only in
+batches, as rows of arrays.  Here live the labeled forms: an ordered list
+of named tensor factors, a density matrix on them that validates its
+defining properties on construction, and the one-state forms built on
+them: a state vector, orthonormal bases, partial traces and partial inner
+products, conditioning one state on one given basis, dense thermal
+states, and a conditional-DM trial run one at a time.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -29,7 +31,6 @@ from gaplab.experiments import (
     _conditional_dm_shell,
     fixed_probes,
 )
-from gaplab.hilbert import DensityMatrix, SpaceFactorization, _frozen_array
 from gaplab.parallel import run_tasks
 from gaplab.thermal import (
     EnergyShell,
@@ -39,8 +40,132 @@ from gaplab.thermal import (
     log_partition_function,
 )
 
+HERMITIAN_TOL = 1e-12
+EIGENVALUE_FLOOR = -1e-10
+TRACE_TOL = 1e-10
 NORM_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-10
+
+# Eigenvalue checks cost O(dim^3); above this size they are skipped unless
+# explicitly requested.
+_PSD_CHECK_AUTO_LIMIT = 512
+
+
+def _frozen_array(a: np.ndarray) -> np.ndarray:
+    out = np.ascontiguousarray(a)
+    out.setflags(write=False)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# labeled tensor factors, and density matrices on them
+
+
+@dataclass(frozen=True)
+class SpaceFactorization:
+    """Ordered labeled tensor factors of a finite-dimensional Hilbert space.
+
+    Flat vector and matrix indices are row-major over the factors in the
+    order listed, so amplitudes on S (x) B reshape to (dim_S, dim_B) with
+    the S index varying slowest.
+    """
+
+    labels: tuple[str, ...]
+    dims: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.labels) != len(self.dims):
+            raise ValueError("labels and dims must have equal length")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"duplicate factor labels in {self.labels}")
+        if not self.labels:
+            raise ValueError("at least one factor is required")
+        for d in self.dims:
+            if d < 1:
+                raise ValueError(f"factor dimensions must be >= 1, got {d}")
+
+    @classmethod
+    def of(cls, *factors: tuple[str, int]) -> "SpaceFactorization":
+        return cls(tuple(f[0] for f in factors), tuple(int(f[1]) for f in factors))
+
+    @property
+    def total_dim(self) -> int:
+        return int(np.prod(self.dims))
+
+    def axis(self, label: str) -> int:
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise KeyError(f"no factor labeled {label!r} in {self.labels}") from None
+
+    def joined_with(self, other: "SpaceFactorization") -> "SpaceFactorization":
+        return SpaceFactorization(self.labels + other.labels, self.dims + other.dims)
+
+
+def single_factor(label: str, dim: int) -> SpaceFactorization:
+    return SpaceFactorization((label,), (int(dim),))
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """Hermitian, positive-semidefinite, unit-trace matrix on a factorized space.
+
+    Construction checks hermiticity elementwise to 1e-12 and the trace to
+    1e-10.  The eigenvalue floor (>= -1e-10) is checked when ``check_psd``
+    is true, or by default whenever the dimension is small enough that the
+    O(dim^3) eigensolve is cheap.
+    """
+
+    entries: np.ndarray
+    factorization: SpaceFactorization
+    check_psd: bool | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        m = np.asarray(self.entries, dtype=np.complex128)
+        d = self.factorization.total_dim
+        if m.shape != (d, d):
+            raise ValueError(f"entries shape {m.shape} does not match dimension {d}")
+        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+            raise ValueError("entries are not Hermitian to 1e-12")
+        tr = m.trace()
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace is {tr!r}, expected 1 within 1e-10")
+        do_psd = self.check_psd
+        if do_psd is None:
+            do_psd = d <= _PSD_CHECK_AUTO_LIMIT
+        if do_psd:
+            lo = float(np.linalg.eigvalsh(m)[0])
+            if lo < EIGENVALUE_FLOOR:
+                raise ValueError(f"smallest eigenvalue {lo} is below -1e-10")
+        object.__setattr__(self, "entries", _frozen_array(m))
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and matching eigenvector columns."""
+        return np.linalg.eigh(self.entries)
+
+
+def assert_density_matrix(rho: np.ndarray) -> None:
+    """A (d, d) complex128 array that passes the ``DensityMatrix`` checks:
+    Hermitian to 1e-12, trace 1 to 1e-10, eigenvalues >= -1e-10."""
+    assert rho.dtype == np.complex128 and rho.shape == (rho.shape[0],) * 2
+    DensityMatrix(rho, single_factor("H", rho.shape[0]), check_psd=True)
+
+
+def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
+    """Kronecker product of two density matrices.
+
+    The factor lists concatenate in order, so flat indices of the product
+    follow the row-major convention of the joined factorization.
+    """
+    return DensityMatrix(
+        np.kron(a.entries, b.entries),
+        a.factorization.joined_with(b.factorization),
+        check_psd=False,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +478,16 @@ def partition_function(h: HamiltonianSpec, beta: float) -> float:
 
 
 def microcanonical(
-    h: HamiltonianSpec, energy: float, delta: float
+    h: HamiltonianSpec, energy: float, delta: float, labels: tuple[str, ...]
 ) -> tuple[EnergyShell, DensityMatrix]:
-    """The shell and the normalized projector onto it, as a dense matrix."""
+    """The shell and the normalized projector onto it, as a dense matrix on
+    the factors of ``h`` under the given labels."""
     shell = energy_shell(h, energy, delta)
     diag = np.zeros(h.dim, dtype=np.float64)
     diag[h.flat_indices(shell.member_ranks)] = 1.0 / shell.shell_dim
     entries = np.diag(diag).astype(np.complex128)
-    return shell, DensityMatrix(entries, h.factorization, check_psd=False)
+    fact = SpaceFactorization(tuple(labels), h.factor_dims)
+    return shell, DensityMatrix(entries, fact, check_psd=False)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +509,7 @@ def conditional_dm_trials(
     probes = fixed_probes(d_sys, config.probe_count)
     setup = _conditional_dm_shell(config, seed, ds_idx)
     h, shell = setup.h, setup.shell
-    target = canonical_density_matrix(setup.factors[0], setup.beta).entries
+    target = canonical_density_matrix(setup.factors[0], setup.beta)
     flat = h.flat_indices(shell.member_ranks)
     block = ds_idx * config.n_trials
     k = shell.shell_dim

@@ -25,7 +25,6 @@ from gaplab.experiments import (
     run_gap_distribution,
     run_gaussian_surrogate_concentration,
 )
-from gaplab.hilbert import SpaceFactorization, trace_distance
 from gaplab.runner import report_envelope
 from gaplab.thermal import (
     canonical_density_matrix,
@@ -34,6 +33,7 @@ from gaplab.thermal import (
 )
 
 from reference import (
+    SpaceFactorization,
     StateVector,
     conditional_density_matrix,
     conditional_dm_from_s_average,
@@ -223,8 +223,7 @@ def test_criterion_08_exact_identities():
                 worst_basis, float(np.max(np.abs(a.entries - b.entries)))
             )
     worst_purity = 0.0
-    h = synth_bath_spectrum(RandomStream(83), 8, "poisson_gaps", scale=0.4,
-                            label="s")
+    h = synth_bath_spectrum(RandomStream(83), 8, "poisson_gaps", scale=0.4)
     for beta in (0.0, 0.7, 2.5):
         lhs = variance_ratio_prediction(h, beta)
         rhs = purity(canonical_density_matrix(h, beta))

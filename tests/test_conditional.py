@@ -10,11 +10,12 @@ from gaplab.conditional import (
     outcome_weights,
 )
 from gaplab.ensembles import RandomStream, sample_haar_frames, sample_haar_unitary
-from gaplab.hilbert import SpaceFactorization, trace_distance
+from gaplab.hilbert import trace_distance
 
 from reference import (
     ConditionalOutcome,
     OrthonormalBasis,
+    SpaceFactorization,
     StateVector,
     conditional_density_matrix,
     conditional_dm_from_s_average,
@@ -160,7 +161,7 @@ class TestConditionalDensityMatrix:
             dm = conditional_density_matrix(psi, basis, y, "s")
             wf = conditional_wave_function(psi, basis, y).conditional_state
             reduced = partial_trace(pure_density_matrix(wf), "s")
-            assert trace_distance(dm, reduced) < 1e-12
+            assert trace_distance(dm.entries, reduced.entries) < 1e-12
 
     def test_outcome_average_recovers_reduced_state(self):
         # Sum_y weight_y rho_cond(y) equals the plain reduced state of psi,

@@ -8,7 +8,6 @@ import gaplab.ensembles as ens
 from gaplab.ensembles import (
     AcceptanceStarvationError,
     GAP_SAMPLERS,
-    GapSampleBatch,
     RandomStream,
     RejectionOracleResult,
     complex_normals,
@@ -25,25 +24,26 @@ from gaplab.ensembles import (
     sample_reduced_grams,
     sample_uniform_sphere,
 )
-from gaplab.hilbert import DensityMatrix, single_factor, trace_distance
+from gaplab.experiments import NAMED_RHOS, named_rho
+from gaplab.hilbert import trace_distance
 from reference import (
     StateVector,
     partial_inner_product,
     partial_trace,
     pure_density_matrix,
     sample_haar_onb,
+    single_factor,
 )
 
 
-def diag_rho(probs, label="S"):
-    p = np.asarray(probs, dtype=float)
-    return DensityMatrix(np.diag(p).astype(complex), single_factor(label, p.size))
+def diag_rho(probs):
+    return np.diag(np.asarray(probs, dtype=float)).astype(complex)
 
 
-def random_rho(rng, dim, label="S"):
+def random_rho(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = a @ a.conj().T
-    return DensityMatrix(m / m.trace().real, single_factor(label, dim))
+    return m / m.trace().real
 
 
 class TestRandomStream:
@@ -133,7 +133,7 @@ class TestGaussianEnsemble:
         rho = random_rho(np.random.default_rng(9), 3)
         z = sample_g(RandomStream(5), rho, size=100_000)
         cov = empirical_covariance(z)
-        assert trace_distance(cov, rho.entries) < 3.0 / np.sqrt(100_000) * 2
+        assert trace_distance(cov, rho) < 3.0 / np.sqrt(100_000) * 2
 
     def test_mean_squared_norm_is_one(self):
         rho = diag_rho([0.6, 0.3, 0.1])
@@ -152,7 +152,7 @@ class TestAdjustedEnsemble:
         rho = diag_rho([0.7, 0.2, 0.1])
         z = sample_ga(RandomStream(8), rho, size=200_000)
         norm2 = np.sum(np.abs(z) ** 2, axis=1)
-        expect = 1.0 + float(np.sum(np.diag(rho.entries).real ** 2))
+        expect = 1.0 + float(np.sum(np.diag(rho).real ** 2))
         assert abs(np.mean(norm2) - expect) < 0.01
 
     def test_matches_rejection_oracle_in_law(self):
@@ -180,9 +180,8 @@ class TestGapSamplers:
     def test_covariance_identity(self, tag):
         rho = diag_rho([0.5, 0.3, 0.2])
         batch = GAP_SAMPLERS[tag](RandomStream(11), rho, size=20_000)
-        cov = empirical_covariance(batch.amplitudes)
-        assert trace_distance(cov, rho.entries) < 0.02
-        assert batch.method_tag == tag
+        cov = empirical_covariance(batch)
+        assert trace_distance(cov, rho) < 0.02
 
     def test_mixture_vs_dap_marginals(self):
         rho = diag_rho([0.85, 0.1, 0.05])
@@ -190,8 +189,8 @@ class TestGapSamplers:
         b = sample_gap_via_dap(RandomStream(13), rho, size=6_000)
         for j in range(3):
             p = ks_2samp(
-                np.abs(a.amplitudes[:, j]) ** 2,
-                np.abs(b.amplitudes[:, j]) ** 2,
+                np.abs(a[:, j]) ** 2,
+                np.abs(b[:, j]) ** 2,
                 method="asymp",
             ).pvalue
             assert p > 1e-4
@@ -202,8 +201,8 @@ class TestGapSamplers:
         b = sample_gap_via_purification(RandomStream(15), rho, size=6_000)
         for j in range(3):
             p = ks_2samp(
-                np.abs(a.amplitudes[:, j]) ** 2,
-                np.abs(b.amplitudes[:, j]) ** 2,
+                np.abs(a[:, j]) ** 2,
+                np.abs(b[:, j]) ** 2,
                 method="asymp",
             ).pvalue
             assert p > 1e-4
@@ -212,8 +211,8 @@ class TestGapSamplers:
         # GAP of a rank-1 density matrix is a point mass up to global phase.
         rho = diag_rho([1.0, 0.0])
         batch = sample_gap(RandomStream(16), rho, size=64)
-        assert np.max(np.abs(np.abs(batch.amplitudes[:, 0]) - 1.0)) < 1e-12
-        assert np.max(np.abs(batch.amplitudes[:, 1])) < 1e-12
+        assert np.max(np.abs(np.abs(batch[:, 0]) - 1.0)) < 1e-12
+        assert np.max(np.abs(batch[:, 1])) < 1e-12
 
     @pytest.mark.parametrize(
         "sampler", [sample_gap_via_dap, sample_gap_via_purification]
@@ -230,21 +229,57 @@ class TestGapSamplers:
         monkeypatch.setattr(ens, "_BLOCK_BYTES", 16 * 3 * 100)
         rng_many = RandomStream(18).generator()
         many = sampler(rng_many, rho, size=3_000)
-        assert np.array_equal(
-            many.amplitudes.view(np.float64), one.amplitudes.view(np.float64)
-        )
+        assert np.array_equal(many.view(np.float64), one.view(np.float64))
         assert rng_many.bit_generator.state == rng_one.bit_generator.state
 
     @pytest.mark.parametrize("tag", sorted(GAP_SAMPLERS))
     def test_single_draw_is_batch_of_one(self, tag):
         sampler = GAP_SAMPLERS[tag]
-        rho = random_rho(np.random.default_rng(17), 3, label="Q")
+        rho = random_rho(np.random.default_rng(17), 3)
         for s in range(5):
             batch = sampler(RandomStream(s), rho, size=1)
-            assert isinstance(batch, GapSampleBatch) and len(batch) == 1
-            assert batch.source_rho is rho and batch.method_tag == tag
-            assert batch.amplitudes.shape == (1, 3)
-            assert abs(np.linalg.norm(batch.amplitudes) - 1.0) < 1e-12
+            assert batch.shape == (1, 3) and batch.dtype == np.complex128
+            assert abs(np.linalg.norm(batch) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("rho_name", [*NAMED_RHOS, "random"])
+    @pytest.mark.parametrize("tag", sorted(GAP_SAMPLERS))
+    def test_rows_are_unit_vectors(self, tag, rho_name):
+        if rho_name == "random":
+            rho = random_rho(np.random.default_rng(24), 3)
+        else:
+            rho = named_rho(rho_name)
+        d = rho.shape[0]
+        for size in (1, 1000):
+            rows = GAP_SAMPLERS[tag](RandomStream(size, d), rho, size=size)
+            assert rows.shape == (size, d) and rows.dtype == np.complex128
+            assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= 1e-12
+
+
+def oracle_rows(stream, rho, size):
+    return rejection_oracle_ga(stream, rho, size=size).samples
+
+
+class TestReadOnlyRho:
+    # gap_distribution's threads share one rho: a sampler only reads it.
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            sample_g,
+            sample_ga,
+            sample_gap,
+            sample_d,
+            sample_gap_via_dap,
+            sample_gap_via_purification,
+            oracle_rows,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_accepts_read_only_rho(self, sampler):
+        rho = random_rho(np.random.default_rng(25), 3)
+        frozen = rho.copy()
+        frozen.setflags(write=False)
+        got = sampler(RandomStream(26), frozen, size=200)
+        assert np.array_equal(got, sampler(RandomStream(26), rho, size=200))
 
 
 class TestPushforwardEnsemble:
@@ -259,23 +294,24 @@ class TestPushforwardEnsemble:
         rho = diag_rho([0.4, 0.35, 0.25])
         z = sample_d(RandomStream(19), rho, size=100_000)
         cov = empirical_covariance(z)
-        assert trace_distance(cov, rho.entries) < 0.02
+        assert trace_distance(cov, rho) < 0.02
 
 
 PURIFIER_LABEL = "_purifier"
 
 
-def purification_of(rho: DensityMatrix) -> StateVector:
-    """A canonical purification of rho on rho's space joined with an ancilla.
+def purification_of(rho: np.ndarray) -> StateVector:
+    """A canonical purification of rho on rho's space (factor ``S``) joined
+    with an ancilla.
 
     Uses sqrt(p_j) |v_j> (x) |e_j> over the eigensystem of rho, with the
     ancilla in its computational basis under the label ``_purifier``: the
     state that ``sample_gap_via_purification`` conditions, written out.
     """
     p, vecs = ens._eigensystem(rho)
-    d = rho.dim
+    d = rho.shape[0]
     amps = (vecs * np.sqrt(p)).reshape(-1)  # sum_j sqrt(p_j) v_j (x) e_j
-    fact = rho.factorization.joined_with(single_factor(PURIFIER_LABEL, d))
+    fact = single_factor("S", d).joined_with(single_factor(PURIFIER_LABEL, d))
     return StateVector(amps, fact, normalized=True)
 
 
@@ -285,7 +321,7 @@ class TestPurification:
         phi = purification_of(rho)
         assert abs(phi.norm() - 1.0) < 1e-12
         reduced = partial_trace(pure_density_matrix(phi), PURIFIER_LABEL)
-        assert trace_distance(reduced, rho) < 1e-12
+        assert trace_distance(reduced.entries, rho) < 1e-12
 
     def test_sampler_conditions_the_purification(self):
         # Replay the sampler's ancilla draws and condition purification_of
@@ -301,7 +337,7 @@ class TestPurification:
             4,
         )
         phi = purification_of(rho)
-        for row, a in zip(draws.amplitudes, ancillas):
+        for row, a in zip(draws, ancillas):
             v = partial_inner_product(a, phi, PURIFIER_LABEL).normalized_copy()
             assert np.allclose(row, v.amplitudes, atol=1e-12)
 
@@ -317,8 +353,8 @@ class TestRejectionOracle:
     def test_covariance_of_projection(self):
         rho = diag_rho([0.5, 0.3, 0.2])
         res = rejection_oracle_ga(RandomStream(22), rho, cap=50.0, size=10_000)
-        cov = empirical_covariance(res.normalized_batch().amplitudes)
-        assert trace_distance(cov, rho.entries) < 0.03
+        rows = res.samples / np.linalg.norm(res.samples, axis=1, keepdims=True)
+        assert trace_distance(empirical_covariance(rows), rho) < 0.03
 
     def test_cap_floor(self):
         with pytest.raises(ValueError, match="cap"):
@@ -458,19 +494,6 @@ class TestReducedGrams:
         wrong = sample_reduced_grams(rng, self.P_SYS, dim_traced, self.N)
         ref = self.direct_grams(94, dim_traced)
         assert min(self.ks_pvalues(wrong, ref)) < 1e-6
-
-
-class TestBatchContainer:
-    def test_rejects_unnormalized_rows(self):
-        rho = diag_rho([0.5, 0.5])
-        with pytest.raises(ValueError, match="normalized"):
-            GapSampleBatch(np.ones((2, 2), dtype=complex), rho, "GAP_def1")
-
-    def test_rejects_unknown_tag(self):
-        rho = diag_rho([1.0, 0.0])
-        amps = np.array([[1.0, 0.0]], dtype=complex)
-        with pytest.raises(ValueError, match="tag"):
-            GapSampleBatch(amps, rho, "nonsense")
 
 
 class TestEmpiricalCovariance:

@@ -12,6 +12,7 @@ from gaplab.ensembles import (
 )
 from gaplab.experiments import (
     EXPERIMENTS,
+    NAMED_RHOS,
     CanonicalTypicalityConfig,
     ConditionalDmConfig,
     GapDistributionConfig,
@@ -32,9 +33,9 @@ from gaplab.experiments import (
     run_unitary_covariance,
 )
 from gaplab import experiments
-from gaplab.hilbert import single_factor, trace_distance
+from gaplab.hilbert import trace_distance
 
-from reference import conditional_dm_trials
+from reference import assert_density_matrix, conditional_dm_trials
 
 
 class TestFixedProbes:
@@ -66,50 +67,72 @@ class TestEstimateDensityMatrix:
     def test_single_sample_is_projector(self):
         v = np.array([[0.6, 0.8j]], dtype=complex)
         rho = estimate_density_matrix(v)
-        assert np.allclose(rho.entries, np.outer(v[0], v[0].conj()), atol=1e-12)
+        assert np.allclose(rho, np.outer(v[0], v[0].conj()), atol=1e-12)
 
     def test_sphere_recovers_maximally_mixed(self):
         batch = sample_uniform_sphere(RandomStream(71), 3, size=30_000)
         rho = estimate_density_matrix(batch)
-        assert trace_distance(rho.entries, np.eye(3) / 3) < 0.02
+        assert trace_distance(rho, np.eye(3) / 3) < 0.02
 
     def test_gap_recovers_source(self):
         src = named_rho("spiked_2")
         batch = sample_gap(RandomStream(72), src, size=30_000)
         rho = estimate_density_matrix(batch)
         assert trace_distance(rho, src) < 0.02
-        assert rho.factorization == src.factorization
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
             estimate_density_matrix(np.array([[2.0, 0.0]], dtype=complex))
 
+    def test_accepts_read_only_rows(self):
+        batch = sample_uniform_sphere(RandomStream(74), 3, size=100)
+        frozen = batch.copy()
+        frozen.setflags(write=False)
+        assert np.array_equal(
+            estimate_density_matrix(frozen), estimate_density_matrix(batch)
+        )
+
     def test_exact_unit_trace(self):
         batch = sample_uniform_sphere(RandomStream(73), 4, size=100)
         rho = estimate_density_matrix(batch)
-        assert rho.entries.trace().real == pytest.approx(1.0, abs=1e-14)
+        assert rho.trace().real == pytest.approx(1.0, abs=1e-14)
 
 
 class TestNamedRho:
     def test_catalog(self):
-        assert np.allclose(
-            named_rho("maximally_mixed_2").entries, np.eye(2) / 2
-        )
-        assert np.allclose(named_rho("spiked_2").entries, np.diag([0.9, 0.1]))
-        r = named_rho("random_rank3_dim4")
-        w = np.linalg.eigvalsh(r.entries)
+        assert np.allclose(named_rho("maximally_mixed_2"), np.eye(2) / 2)
+        assert np.allclose(named_rho("spiked_2"), np.diag([0.9, 0.1]))
+        w = np.linalg.eigvalsh(named_rho("random_rank3_dim4"))
         assert abs(w[0]) < 1e-12  # rank 3: one zero eigenvalue
         assert np.allclose(sorted(w[1:]), [0.2, 0.3, 0.5], atol=1e-12)
 
     def test_frozen_across_calls(self):
         assert np.array_equal(
-            named_rho("random_rank3_dim4").entries,
-            named_rho("random_rank3_dim4").entries,
+            named_rho("random_rank3_dim4"), named_rho("random_rank3_dim4")
         )
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown"):
             named_rho("thermal_42")
+
+    @pytest.mark.parametrize("name", NAMED_RHOS)
+    def test_is_density_matrix(self, name):
+        assert_density_matrix(named_rho(name))
+
+    def test_heredity_states_are_density_matrices(self, monkeypatch):
+        # heredity_check builds rho1 (x) rho2 and rho1 inline; record what
+        # it hands to sample_gap.
+        seen = []
+
+        def recording_sample_gap(stream, rho, size):
+            seen.append(rho)
+            return sample_gap(stream, rho, size)
+
+        monkeypatch.setattr(experiments, "sample_gap", recording_sample_gap)
+        heredity_check(seed=0, n_samples=20, probe_count=1, alpha_each=0.0)
+        assert [rho.shape for rho in seen] == [(32, 32), (2, 2)]
+        for rho in seen:
+            assert_density_matrix(rho)
 
 
 class TestProbeKsPower:
@@ -125,12 +148,12 @@ class TestProbeKsPower:
         cfg = GapEquivalenceConfig()
         threshold = cfg.alpha / 93
         rho = named_rho("spiked_2")
-        probes = fixed_probes(rho.dim, cfg.probe_count)
+        probes = fixed_probes(rho.shape[0], cfg.probe_count)
         gp = sample_d(RandomStream(seed, 0), rho, size=cfg.ks_samples)
         gp /= np.linalg.norm(gp, axis=1, keepdims=True)
         gap = sample_gap(RandomStream(seed, 1), rho, size=cfg.ks_samples)
         a = probe_marginals(gp, probes)
-        b = probe_marginals(gap.amplitudes, probes)
+        b = probe_marginals(gap, probes)
         pvalues = [ks_pvalue(a[m], b[m]) for m in range(cfg.probe_count)]
         assert max(pvalues) < threshold
 
@@ -323,7 +346,7 @@ class TestPermutationPushforward:
         # For a permutation matrix P, coordinates of P psi are a relabeling,
         # so computational-basis marginals permute exactly, sample by sample.
         rho = named_rho("random_rank3_dim4")
-        batch = sample_gap(RandomStream(75), rho, size=200).amplitudes
+        batch = sample_gap(RandomStream(75), rho, size=200)
         perm = np.eye(4)[:, np.roll(np.arange(4), 1)]
         pushed = batch @ perm.T
         src = np.abs(batch) ** 2

@@ -536,14 +536,28 @@ class TestRerunDeterminism:
                 outputs.append((json.dumps(env["report"], sort_keys=True), fh.read()))
         assert outputs[0] == outputs[1]
 
-    def test_same_seed_same_report_bytes(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv(OUT_DIR_ENV_VAR, raising=False)
-        cfg = write_yaml(tmp_path, TINY_SURROGATE)
+    # perfbench fails an operation whose payload differs from the other
+    # operations of its run: two runs in one interpreter must agree.
+    @pytest.mark.parametrize(
+        "experiment, parallelism",
+        [(name, 1) for name in sorted(RUN_PATH_CONFIGS)]
+        + [("gap_distribution", 2)],
+    )
+    def test_same_seed_same_report_bytes(
+        self, tmp_path, capsys, experiment, parallelism
+    ):
+        cfg = write_yaml(
+            tmp_path,
+            {"experiment": experiment, "seed": 3, "parallelism": parallelism,
+             "config": RUN_PATH_CONFIGS[experiment]},
+        )
         bodies = []
         for sub in ("a", "b"):
             out_dir = str(tmp_path / sub)
             assert main(["run", "--config", cfg, "--out-dir", out_dir]) == 0
             capsys.readouterr()
-            env = load_report(os.path.join(out_dir, "gaussian_surrogate-seed9"))
-            bodies.append(json.dumps(env["report"], sort_keys=True))
+            run_dir = os.path.join(out_dir, f"{experiment}-seed3")
+            env = load_report(run_dir)
+            with open(os.path.join(run_dir, "trials.tsv"), "rb") as fh:
+                bodies.append((json.dumps(env["report"], sort_keys=True), fh.read()))
         assert bodies[0] == bodies[1]
