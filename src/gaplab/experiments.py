@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -391,19 +392,18 @@ def run_gap_definition_equivalence(
         marg = {
             tag: probe_marginals(arr, probes) for tag, arr in ks_arrays.items()
         }
-        for i in range(len(method_names)):
-            for j in range(i + 1, len(method_names)):
-                a, b = method_names[i], method_names[j]
-                for p_idx in range(config.probe_count):
-                    p = ks_pvalue(marg[a][p_idx], marg[b][p_idx])
-                    checks.append(
-                        _lower_check(
-                            f"marginal_ks[{rho_name},{a}~{b},probe{p_idx}]",
-                            p,
-                            p_threshold,
-                            "significance-level, Bonferroni",
-                        )
+        for pair_idx, (a, b) in enumerate(itertools.combinations(method_names, 2)):
+            for p_idx in range(config.probe_count):
+                p = ks_pvalue(marg[a][p_idx], marg[b][p_idx])
+                checks.append(
+                    _lower_check(
+                        f"marginal_ks[{rho_name},{a}~{b},probe{p_idx}]",
+                        p,
+                        p_threshold,
+                        "significance-level, Bonferroni",
                     )
+                )
+                rows.append((r_idx, pair_idx, p_idx, p))
 
         # The mixture sampler and the oracle both target the adjusted
         # (unprojected) ensemble, so their squared norms must agree too.
@@ -419,11 +419,8 @@ def run_gap_definition_equivalence(
                 "significance-level, Bonferroni",
             )
         )
-
-        for m_idx, tag in enumerate(method_names):
-            first = marg[tag][0]
-            index = np.full((first.size, 2), (r_idx, m_idx), dtype=np.float64)
-            rows.append(np.column_stack([index, np.arange(first.size), first]))
+        # pair n_pairs is mixture~oracle; probe -1 marks the squared norm
+        rows.append((r_idx, n_pairs, -1, p))
 
     report = ExperimentReport(
         experiment="gap_definition_equivalence",
@@ -431,12 +428,12 @@ def run_gap_definition_equivalence(
         seed=seed,
         parallelism=parallelism,
         sample_count=len(config.rho_names)
-        * (3 * config.moment_samples + 4 * config.ks_samples),
+        * (3 * config.moment_samples + 5 * config.ks_samples),
         statistics=statistics,
         predictions=predictions,
         checks=tuple(checks),
-        trial_columns=("rho_index", "method_index", "sample_index", "probe0_marginal"),
-        trial_rows=np.concatenate(rows, axis=0),
+        trial_columns=("rho_index", "pair_index", "probe_index", "ks_pvalue"),
+        trial_rows=np.asarray(rows, dtype=np.float64),
         wall_time_s=time.perf_counter() - t0,
     )
     return report
@@ -1271,6 +1268,7 @@ def run_gaussian_surrogate_concentration(
 
     checks: list[CheckResult] = []
     statistics: dict = {}
+    rows = []
     ratios = u_vals.var(axis=1, ddof=1) / u_vals.mean(axis=1) ** 2
     ratios_normalized = vals.var(axis=1, ddof=1) / vals.mean(axis=1) ** 2
     for p_idx in range(config.probe_count):
@@ -1280,6 +1278,7 @@ def run_gaussian_surrogate_concentration(
         statistics[f"probe_var_ratio_normalized[probe{p_idx}]"] = float(
             ratios_normalized[p_idx]
         )
+        rows.append((p_idx, mean, ratios[p_idx], ratios_normalized[p_idx]))
         checks.append(
             _rel_check(
                 f"probe_mean_matches_system[probe{p_idx}]",
@@ -1347,10 +1346,13 @@ def run_gaussian_surrogate_concentration(
         statistics=statistics,
         predictions=predictions,
         checks=tuple(checks),
-        trial_columns=("sample_index", "norm_sq", "probe0"),
-        trial_rows=np.column_stack(
-            [np.arange(n, dtype=float), norm_sq, vals[0]]
+        trial_columns=(
+            "probe_index",
+            "probe_mean",
+            "probe_var_ratio",
+            "probe_var_ratio_normalized",
         ),
+        trial_rows=np.asarray(rows, dtype=np.float64),
         wall_time_s=time.perf_counter() - t0,
     )
 

@@ -1,9 +1,12 @@
 """Experiment helpers plus small-scale runs of each registered experiment."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from gaplab.ensembles import (
+    GAP_SAMPLERS,
     RandomStream,
     sample_complex_gaussian,
     sample_d,
@@ -220,6 +223,31 @@ class TestExperimentRuns:
         assert any("covariance_matches_source" in n for n in names)
         assert any("marginal_ks" in n for n in names)
         assert rep.trial_rows.shape[1] == len(rep.trial_columns)
+        cfg = SMALL_EQUIVALENCE
+        assert rep.sample_count == 3 * cfg.moment_samples + 5 * cfg.ks_samples
+
+    def test_gap_equivalence_table_is_its_ks_checks(self):
+        # One row per KS check, in check order: (rho, pair, probe, p-value);
+        # the squared-norm test is the pair after the method pairs, probe -1.
+        rep = run_gap_definition_equivalence(SMALL_EQUIVALENCE, seed=5)
+        ks = [c for c in rep.checks if "_ks[" in c.name]
+        pairs = list(
+            itertools.combinations([*GAP_SAMPLERS, "rejection_oracle"], 2)
+        )
+        names = []
+        for r_idx, pair_idx, p_idx, _ in rep.trial_rows.tolist():
+            rho_name = SMALL_EQUIVALENCE.rho_names[int(r_idx)]
+            if p_idx == -1:
+                assert pair_idx == len(pairs)
+                names.append(f"adjusted_norm_sq_ks[{rho_name}]")
+            else:
+                a, b = pairs[int(pair_idx)]
+                names.append(f"marginal_ks[{rho_name},{a}~{b},probe{int(p_idx)}]")
+        assert rep.trial_columns == (
+            "rho_index", "pair_index", "probe_index", "ks_pvalue"
+        )
+        assert names == [c.name for c in ks]
+        assert rep.trial_rows[:, 3].tolist() == [c.statistic for c in ks]
 
     def test_gap_equivalence_deterministic(self):
         a = run_gap_definition_equivalence(SMALL_EQUIVALENCE, seed=6)
@@ -281,6 +309,13 @@ class TestExperimentRuns:
         ratio = rep.statistics["probe_var_ratio[probe0]"]
         assert abs(ratio / (1.0 / 64) - 1.0) < 0.25  # loose at small N
         assert rep.sample_count == 8_000
+        # one trials row per probe, holding the statistics its checks use
+        keys = ("probe_mean", "probe_var_ratio", "probe_var_ratio_normalized")
+        assert rep.trial_columns == ("probe_index", *keys)
+        assert rep.trial_rows.tolist() == [
+            [p, *(rep.statistics[f"{k}[probe{p}]"] for k in keys)]
+            for p in range(SMALL_SURROGATE.probe_count)
+        ]
 
     def test_heredity_check_runs(self):
         checks, stats = heredity_check(seed=15, n_samples=1_000, probe_count=3,

@@ -1,11 +1,13 @@
-"""Golden reports: the ``report`` section of a small run of every experiment,
-compared with the copy stored in ``tests/golden/<experiment>.json``.
+"""Golden reports: the ``report`` section and the ``trials.tsv`` table of a
+small run of every experiment, compared with the copies stored in
+``tests/golden/<experiment>.json`` and ``tests/golden/<experiment>.tsv``.
 
 A change in how any sampler or experiment uses its random streams moves the
 stored values by O(1) and fails here.  Keys, strings, integers, booleans and
 check names must match exactly; floats match to a relative 1e-10 (absolute
 1e-12), because OpenBLAS picks different kernels on different CPUs and
-those move only the last bits.  Each payload's SHA-256 is printed (``-s``)
+those move only the last bits; table values are compared as floats at the
+same tolerance.  Each payload's SHA-256 is printed (``-s``)
 as evidence for byte-level comparisons across commits; only the tolerance
 comparison is asserted.
 
@@ -14,6 +16,7 @@ A change that alters draws on purpose regenerates the files with
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -22,7 +25,11 @@ from pathlib import Path
 import pytest
 
 from gaplab.experiments import EXPERIMENTS
-from gaplab.runner import experiment_config_from_dict, report_envelope
+from gaplab.runner import (
+    experiment_config_from_dict,
+    report_envelope,
+    write_trials_tsv,
+)
 from test_runner import RUN_PATH_CONFIGS
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -31,11 +38,31 @@ REL_TOL = 1e-10
 ABS_TOL = 1e-12
 
 
-def golden_payload(experiment: str) -> dict:
-    """The ``report`` section of a serial run of the small variant."""
+@functools.cache
+def golden_report(experiment: str):
+    """A serial run of the small variant."""
     config = experiment_config_from_dict(experiment, RUN_PATH_CONFIGS[experiment])
-    report = EXPERIMENTS[experiment].runner(config, SEED, 1)
-    return report_envelope(report)["report"]
+    return EXPERIMENTS[experiment].runner(config, SEED, 1)
+
+
+def golden_payload(experiment: str) -> dict:
+    """The ``report`` section of the small variant's run."""
+    return report_envelope(golden_report(experiment))["report"]
+
+
+def write_golden_trials(experiment: str, path) -> None:
+    """The ``trials.tsv`` of the small variant's run, as a run writes it."""
+    report = golden_report(experiment)
+    write_trials_tsv(str(path), report.trial_columns, report.trial_rows)
+
+
+def read_table(path) -> dict:
+    """A ``trials.tsv``: its column names, and its rows as floats."""
+    header, *lines = Path(path).read_text().splitlines()
+    return {
+        "columns": header.split("\t"),
+        "rows": [[float(v) for v in line.split("\t")] for line in lines],
+    }
 
 
 def payload_text(payload: dict) -> str:
@@ -81,6 +108,13 @@ def test_report_matches_golden(experiment):
     assert mismatches(expected, actual) == []
 
 
+@pytest.mark.parametrize("experiment", sorted(RUN_PATH_CONFIGS))
+def test_trials_match_golden(experiment, tmp_path):
+    write_golden_trials(experiment, tmp_path / "trials.tsv")
+    expected = read_table(GOLDEN_DIR / f"{experiment}.tsv")
+    assert mismatches(expected, read_table(tmp_path / "trials.tsv")) == []
+
+
 def test_mismatches_applies_tolerance_only_to_floats():
     golden = {"n": 3, "ok": True, "x": 1.0, "name": "a"}
     assert mismatches(golden, {**golden, "x": 1.0 + 1e-12}) == []
@@ -95,4 +129,5 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in sorted(RUN_PATH_CONFIGS):
         (GOLDEN_DIR / f"{name}.json").write_text(payload_text(golden_payload(name)))
-        print(f"wrote {GOLDEN_DIR / name}.json")
+        write_golden_trials(name, GOLDEN_DIR / f"{name}.tsv")
+        print(f"wrote {GOLDEN_DIR / name}.json and .tsv")

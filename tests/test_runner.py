@@ -2,6 +2,7 @@
 
 import dataclasses
 import glob
+import hashlib
 import json
 import os
 
@@ -340,7 +341,7 @@ class TestCli:
         table = np.loadtxt(
             os.path.join(run_dir, "trials.tsv"), skiprows=1, delimiter="\t"
         )
-        assert table.shape[0] == 2000
+        assert table.shape[0] == SurrogateConfig().probe_count  # one row per probe
         assert "report:" in out
 
     def test_run_env_var_out_dir(self, tmp_path, capsys, monkeypatch):
@@ -536,6 +537,23 @@ class TestRerunDeterminism:
                 outputs.append((json.dumps(env["report"], sort_keys=True), fh.read()))
         assert outputs[0] == outputs[1]
 
+    @staticmethod
+    def run_bytes(tmp_path, experiment, parallelism, sub):
+        """The ``report`` section, as sorted JSON, plus ``trials.tsv`` of a
+        run of the small variant at seed 3, written under ``tmp_path/sub``."""
+        cfg = write_yaml(
+            tmp_path,
+            {"experiment": experiment, "seed": 3, "parallelism": parallelism,
+             "config": RUN_PATH_CONFIGS[experiment]},
+            name=f"{sub}.yaml",
+        )
+        out_dir = str(tmp_path / sub)
+        assert main(["run", "--config", cfg, "--out-dir", out_dir]) == 0
+        run_dir = os.path.join(out_dir, f"{experiment}-seed3")
+        env = load_report(run_dir)
+        with open(os.path.join(run_dir, "trials.tsv"), "rb") as fh:
+            return json.dumps(env["report"], sort_keys=True).encode() + fh.read()
+
     # perfbench fails an operation whose payload differs from the other
     # operations of its run: two runs in one interpreter must agree.
     @pytest.mark.parametrize(
@@ -543,21 +561,26 @@ class TestRerunDeterminism:
         [(name, 1) for name in sorted(RUN_PATH_CONFIGS)]
         + [("gap_distribution", 2)],
     )
-    def test_same_seed_same_report_bytes(
-        self, tmp_path, capsys, experiment, parallelism
-    ):
-        cfg = write_yaml(
-            tmp_path,
-            {"experiment": experiment, "seed": 3, "parallelism": parallelism,
-             "config": RUN_PATH_CONFIGS[experiment]},
-        )
-        bodies = []
-        for sub in ("a", "b"):
-            out_dir = str(tmp_path / sub)
-            assert main(["run", "--config", cfg, "--out-dir", out_dir]) == 0
-            capsys.readouterr()
-            run_dir = os.path.join(out_dir, f"{experiment}-seed3")
-            env = load_report(run_dir)
-            with open(os.path.join(run_dir, "trials.tsv"), "rb") as fh:
-                bodies.append((json.dumps(env["report"], sort_keys=True), fh.read()))
+    def test_same_seed_same_report_bytes(self, tmp_path, experiment, parallelism):
+        bodies = [
+            self.run_bytes(tmp_path, experiment, parallelism, sub)
+            for sub in ("a", "b")
+        ]
         assert bodies[0] == bodies[1]
+
+    # A seed fixes the payload at any worker count.
+    @pytest.mark.parametrize(
+        "experiment",
+        [
+            "canonical_typicality",
+            "conditional_dm_concentration",
+            "gap_distribution",
+            "unitary_covariance",
+        ],
+    )
+    def test_parallelism_leaves_report_bytes_unchanged(self, tmp_path, experiment):
+        digests = [
+            hashlib.sha256(self.run_bytes(tmp_path, experiment, p, f"p{p}")).hexdigest()
+            for p in (1, 2)
+        ]
+        assert digests[0] == digests[1]
