@@ -83,9 +83,17 @@ def draw_outcomes(stream_or_rng, weights: np.ndarray) -> np.ndarray:
 
     Uses one uniform u per row and returns #{y : cdf_y <= u}, the same
     inverse-CDF rule ``Generator.choice`` applies to a single row.
+    ``stream_or_rng`` is one stream or generator for all rows, or a
+    sequence of n generators, row i drawing its uniform from the i-th.
     """
-    rng = _rng_of(stream_or_rng)
     cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
     cdf /= cdf[:, -1:]
-    u = rng.random(weights.shape[0])
+    if isinstance(stream_or_rng, (RandomStream, np.random.Generator)):
+        u = _rng_of(stream_or_rng).random(weights.shape[0])
+    else:
+        u = np.array([rng.random() for rng in stream_or_rng])
+        if u.shape[0] != weights.shape[0]:
+            raise ValueError(
+                f"expected {weights.shape[0]} generators, got {u.shape[0]}"
+            )
     return np.count_nonzero(cdf <= u[:, None], axis=1)

@@ -996,6 +996,82 @@ def conditional_dm_shells(
     ]
 
 
+@dataclass(frozen=True)
+class ShellFactor:
+    """Where the entries of a Bartlett-drawn shell factor sit.
+
+    A conditional-DM trial depends on its shell state only through
+    C = sum_s v_s v_s^dagger, where v_s holds the amplitudes at traced
+    level s over the (y, S) pairs; the Haar rotation of y comes after.
+    The traced levels that reach the same set of (y, S) pairs inside the
+    shell form a group g: n_g levels on p_g pairs.  For Gaussian
+    amplitudes, each group adds an independent complex Wishart
+    W(p_g, n_g, I) to C, which T_g T_g^dagger reproduces exactly for the
+    p_g x r_g lower-trapezoidal Bartlett factor T_g, r_g = min(p_g, n_g):
+    |T_ii|^2 ~ Gamma(n_g - i) (i from 0) and standard complex normals
+    (E|z|^2 = 1) below the diagonal (Goodman, Ann. Math. Statist. 34,
+    1963).  The factors side by side are a virtual traced factor of width
+    r = sum_g r_g, and the state laid out as (y, S, s') with s' < r,
+    normalized, gives C the law it has for a uniform shell state.
+
+    ``shapes`` are the Gamma shapes of the diagonal, group by group;
+    ``positions`` are the flat (y, S, s') indexes of the diagonal entries,
+    in the same order, then of the entries below the diagonal, group by
+    group, each group's in the order of ``np.tril_indices(p_g, -1, r_g)``.
+    """
+
+    shapes: np.ndarray
+    positions: np.ndarray
+    width: int
+
+
+def shell_factor(shell: EnergyShell) -> ShellFactor:
+    """The Bartlett layout of a shell of system (x) y (x) s.  Groups follow
+    the lexicographic order of their reach, and the pairs of a group
+    ascend in (y, S)."""
+    dims = shell.hamiltonian.factor_dims
+    d_sys, d_y, d_s = dims
+    flat = shell.hamiltonian.flat_indices(shell.member_ranks)
+    sys_i, y_i, s_i = np.unravel_index(flat, dims)
+    reach = np.zeros((d_s, d_y * d_sys), dtype=bool)
+    reach[s_i, y_i * d_sys + sys_i] = True
+    supports, counts = np.unique(reach, axis=0, return_counts=True)
+    groups = [
+        (np.flatnonzero(support), int(n))
+        for support, n in zip(supports, counts)
+        if support.any()
+    ]
+    width = sum(min(pairs.size, n) for pairs, n in groups)
+    shapes, diagonal, below = [], [], []
+    col = 0
+    for pairs, n in groups:
+        r = min(pairs.size, n)
+        i, j = np.tril_indices(pairs.size, -1, r)
+        shapes.append(n - np.arange(r))
+        diagonal.append(pairs[:r] * width + col + np.arange(r))
+        below.append(pairs[i] * width + col + j)
+        col += r
+    return ShellFactor(
+        np.concatenate(shapes).astype(np.float64),
+        np.concatenate(diagonal + below),
+        width,
+    )
+
+
+def draw_shell_factor(rng: np.random.Generator, factor: ShellFactor) -> np.ndarray:
+    """The entries of one normalized Bartlett factor, in the order of
+    ``factor.positions``.  RNG order: all gammas, then the real parts of
+    the entries below the diagonal, then their imaginary parts."""
+    gammas = rng.standard_gamma(factor.shapes)
+    t = np.empty(factor.positions.size, dtype=np.complex128)
+    t[: gammas.size] = np.sqrt(gammas)
+    t[gammas.size :] = complex_normals(
+        rng, t.size - gammas.size, 1.0 / math.sqrt(2.0)
+    )
+    t /= np.linalg.norm(t)
+    return t
+
+
 def run_conditional_dm_concentration(
     config: ConditionalDmConfig, seed: int, parallelism: int = 1
 ) -> ExperimentReport:
@@ -1017,7 +1093,7 @@ def run_conditional_dm_concentration(
     for ds_idx, d_s in enumerate(config.dim_s_values):
         setup = _conditional_dm_shell(config, seed, ds_idx)
         h_sys, _, h_s = setup.factors
-        h, shell, beta = setup.h, setup.shell, setup.beta
+        shell, beta = setup.shell, setup.beta
         target = canonical_density_matrix(h_sys, beta)
         vr_prediction = variance_ratio_prediction(h_s, beta)
         q_expected = np.array(
@@ -1026,20 +1102,21 @@ def run_conditional_dm_concentration(
                 for ph in probes
             ]
         )
-        # A block's states, their rotation and a scratch for conjugates are
-        # laid out as (y, S, s), the observed index first, so the rotated
-        # block splits into the outcome blocks A_y without a copy.  The
-        # three come from one allocation: with glibc, separate block-sized
-        # arrays made the heap shrink and regrow around every block, with
-        # up to one page fault per 4 KiB of state (0.2-0.5 s of a
-        # 300-trial run, 694k faults in a 10,000-trial run, 55k this way).
-        flat = h.flat_indices(shell.member_ranks)
-        sys_i, y_i, s_i = np.unravel_index(flat, (d_sys, d_y, d_s))
-        flat_ys = np.ravel_multi_index((y_i, sys_i, s_i), (d_y, d_sys, d_s))
+        # Each trial draws its state as a Bartlett factor of width r (see
+        # ShellFactor), one substream per trial, in the order: factor,
+        # unitary, outcome.  A block's states, their rotation and a
+        # scratch for conjugates are laid out as (y, S, s'), the observed
+        # index first, so the rotated block splits into the outcome blocks
+        # A_y without a copy.  The three come from one allocation: with
+        # glibc, separate block-sized arrays made the heap shrink and
+        # regrow around every block, with up to one page fault per 4 KiB
+        # of state (0.2-0.5 s of a 300-trial run, 694k faults in a
+        # 10,000-trial run, 55k this way).
+        factor = shell_factor(shell)
+        r = factor.width
         stream_base = ds_idx * config.n_trials
-        k = shell.shell_dim
         n_probes = config.probe_count
-        block_size = max(1, CDM_BLOCK_BYTES // (16 * h.dim))
+        block_size = max(1, CDM_BLOCK_BYTES // (16 * d_y * d_sys * r))
 
         def trials(start: int, stop: int) -> tuple:
             n = stop - start
@@ -1047,23 +1124,26 @@ def run_conditional_dm_concentration(
                 RandomStream(seed, stream_base + t).generator()
                 for t in range(start, stop)
             ]
-            psi, rot, conj = np.zeros((3, n, d_y, d_sys * d_s), dtype=np.complex128)
-            for row, rng in zip(psi.reshape(n, -1), gens):
-                z = complex_normals(rng, k)
-                z /= np.linalg.norm(z)
-                row[flat_ys] = z
+            psi, rot, conj = np.empty((3, n, d_y, d_sys * r), dtype=np.complex128)
+            psi.fill(0.0)
+            psi.reshape(n, -1)[:, factor.positions] = np.stack(
+                [draw_shell_factor(rng, factor) for rng in gens]
+            )
             condition_on_random_basis(
                 gens, psi.transpose(0, 2, 1), out=rot.transpose(0, 2, 1)
             )
-            conj = conj.reshape(n * d_y, d_sys, d_s)
             grams, wts = kernels.conditional_dms(
-                rot.reshape(n * d_y, d_sys, d_s), conj
+                rot.reshape(n * d_y, d_sys, r), conj.reshape(n * d_y, d_sys, r)
             )
             # exact mixture identity: outcome-weighted conditionals resolve
-            # the reduced state of S
-            p_y = psi.reshape(n * d_y, d_sys, d_s)
-            gaps = grams - p_y @ np.conjugate(p_y, out=conj).transpose(0, 2, 1)
-            defect = float(np.max(np.abs(gaps.reshape(n, d_y, -1).sum(axis=1))))
+            # the reduced state of S, one (S, y s') product per trial with
+            # the two scratch arrays holding the state and its conjugate
+            m = conj.reshape(n, d_sys, d_y, r)
+            m[...] = psi.reshape(n, d_y, d_sys, r).transpose(0, 2, 1, 3)
+            m = m.reshape(n, d_sys, d_y * r)
+            reduced = m @ np.conjugate(m, out=rot.reshape(m.shape)).transpose(0, 2, 1)
+            gaps = grams.reshape(n, d_y, d_sys, d_sys).sum(axis=1) - reduced
+            defect = float(np.max(np.abs(gaps)))
             if defect > 1e-12:
                 raise RuntimeError(
                     f"conditional decomposition defect {defect:.3e}"
@@ -1085,9 +1165,7 @@ def run_conditional_dm_concentration(
             m2n = ((xv * xv) @ w_norm)[..., 0]
             m1u = (uv @ w_norm)[..., 0]
             m2u = ((uv * uv) @ w_norm)[..., 0]
-            ys = np.array(
-                [rng.choice(d_y, p=p[:, 0]) for rng, p in zip(gens, w_norm)]
-            )
+            ys = draw_outcomes(gens, w)
             at_y = (np.arange(n), ys)
             dists = _batched_trace_distance(
                 grams[at_y] / wts[at_y][:, None, None], target

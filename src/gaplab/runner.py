@@ -21,6 +21,7 @@ import dataclasses
 import datetime
 import json
 import os
+import platform
 import sys
 from dataclasses import dataclass
 
@@ -103,8 +104,15 @@ REPORT_SCHEMA = {
         },
         "volatile": {
             "type": "object",
-            "required": ["blas_threads"],
-            "properties": {"blas_threads": {"type": ["integer", "null"]}},
+            "required": ["blas_threads", "versions"],
+            "properties": {
+                "blas_threads": {"type": ["integer", "null"]},
+                "versions": {
+                    "type": "object",
+                    "required": ["python", "numpy", "pyyaml"],
+                    "additionalProperties": {"type": "string"},
+                },
+            },
         },
     },
 }
@@ -258,6 +266,11 @@ def report_envelope(report: ExperimentReport) -> dict:
             "parallelism": report.parallelism,
             "package_version": __version__,
             "blas_threads": trial_blas_threads(),
+            "versions": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "pyyaml": yaml.__version__,
+            },
             "generated_at": datetime.datetime.now(
                 datetime.timezone.utc
             ).isoformat(),
@@ -410,6 +423,7 @@ def _run_command(args) -> int:
         run_config = dataclasses.replace(
             run_config, parallelism=args.parallelism
         )
+    check_shells(run_config)
     out_dir = resolve_out_dir(args.out_dir, run_config.out_dir)
     report, paths = execute_run(run_config, out_dir)
     sys.stdout.write(summary_text(report))
@@ -424,13 +438,18 @@ def _list_command() -> int:
     return 0
 
 
-def _validate_command(args) -> int:
-    run_config = load_run_config(args.config)
-    # the setup phase of `run`, so a config that `run` would refuse for a
-    # shell below its floor is refused here too
+def check_shells(run_config: RunConfig) -> None:
+    """Build the run's energy shells, the setup phase of the experiment,
+    so that a config with a shell below its floor raises ConfigError before
+    any trial runs."""
     shells = EXPERIMENTS[run_config.experiment].shells
     if shells is not None:
         shells(run_config.experiment_config, run_config.seed)
+
+
+def _validate_command(args) -> int:
+    run_config = load_run_config(args.config)
+    check_shells(run_config)
     sys.stdout.write(
         yaml.safe_dump(
             canonical_config_dict(run_config),

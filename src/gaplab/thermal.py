@@ -122,7 +122,9 @@ def _boltzmann_weights(h: HamiltonianSpec, beta: float) -> np.ndarray:
 
 
 def canonical_mean_energy(h: HamiltonianSpec, beta: float) -> float:
-    return float(_boltzmann_weights(h, beta) @ h.eigenvalues)
+    """tr(rho_beta H), summed by numpy rather than BLAS: the bits then do
+    not depend on the BLAS thread count, and neither does ``match_beta``."""
+    return float(np.sum(_boltzmann_weights(h, beta) * h.eigenvalues))
 
 
 def canonical_density_matrix(h: HamiltonianSpec, beta: float) -> np.ndarray:

@@ -28,8 +28,11 @@ from gaplab.ensembles import (
 )
 from gaplab.experiments import (
     ConditionalDmConfig,
+    ShellFactor,
     _conditional_dm_shell,
+    draw_shell_factor,
     fixed_probes,
+    shell_factor,
 )
 from gaplab.parallel import run_tasks
 from gaplab.thermal import (
@@ -494,12 +497,48 @@ def microcanonical(
 # conditional_dm_concentration, one trial at a time
 
 
+def direct_shell_grams(stream_or_rng, shell: EnergyShell, count: int) -> np.ndarray:
+    """C = sum_s v_s v_s^dagger of ``count`` uniform shell states drawn
+    directly: complex normals on every shell member, normalized.  v_s
+    holds the amplitudes at traced level s over the (y, S) pairs, so the
+    result is a (count, d_y d_sys, d_y d_sys) stack.  This is the draw that
+    ``experiments.ShellFactor`` replaces by a Bartlett factor."""
+    dims = shell.hamiltonian.factor_dims
+    d_sys, d_y, d_s = dims
+    rng = _rng_of(stream_or_rng)
+    z = complex_normals(rng, (count, shell.shell_dim))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    flat = shell.hamiltonian.flat_indices(shell.member_ranks)
+    sys_i, y_i, s_i = np.unravel_index(flat, dims)
+    v = np.zeros((count, d_y * d_sys, d_s), dtype=np.complex128)
+    v[:, y_i * d_sys + sys_i, s_i] = z
+    return v @ v.conj().transpose(0, 2, 1)
+
+
+def bartlett_shell_grams(
+    stream_or_rng, shell: EnergyShell, count: int,
+    factor: ShellFactor | None = None,
+) -> np.ndarray:
+    """C of ``count`` states drawn as the conditional-DM trials draw them,
+    all from one generator, with the shell's Bartlett layout or
+    ``factor``."""
+    d_sys, d_y, _ = shell.hamiltonian.factor_dims
+    rng = _rng_of(stream_or_rng)
+    factor = factor or shell_factor(shell)
+    t = np.zeros((count, d_y * d_sys * factor.width), dtype=np.complex128)
+    for row in t:
+        row[factor.positions] = draw_shell_factor(rng, factor)
+    t = t.reshape(count, d_y * d_sys, factor.width)
+    return t @ t.conj().transpose(0, 2, 1)
+
+
 def conditional_dm_trials(
     config: ConditionalDmConfig, seed: int, ds_idx: int
 ) -> tuple[np.ndarray, ...]:
     """The per-trial fields of ``run_conditional_dm_concentration`` at one
-    traced dimension, each trial conditioned on its own: one Haar unitary,
-    one tensordot and one kernel call per trial.
+    traced dimension, each trial conditioned on its own: the same Bartlett
+    factor, then one Haar unitary, one tensordot and one kernel call per
+    trial.
 
     Returns (y, w_y, distance, x_y, m1n, m2n, m1u, m2u), stacked over trials.
     """
@@ -508,23 +547,19 @@ def conditional_dm_trials(
     d_s = config.dim_s_values[ds_idx]
     probes = fixed_probes(d_sys, config.probe_count)
     setup = _conditional_dm_shell(config, seed, ds_idx)
-    h, shell = setup.h, setup.shell
     target = canonical_density_matrix(setup.factors[0], setup.beta)
-    flat = h.flat_indices(shell.member_ranks)
+    factor = shell_factor(setup.shell)
+    r = factor.width
     block = ds_idx * config.n_trials
-    k = shell.shell_dim
-    dims3 = (d_sys, d_y, d_s)
     n_probes = config.probe_count
 
     def trial(t: int) -> tuple:
         rng = RandomStream(seed, block + t).generator()
-        z = complex_normals(rng, k)
-        z /= np.linalg.norm(z)
-        psi = np.zeros(h.dim, dtype=np.complex128)
-        psi[flat] = z
-        t3 = psi.reshape(dims3)
+        psi = np.zeros(d_y * d_sys * r, dtype=np.complex128)
+        psi[factor.positions] = draw_shell_factor(rng, factor)
+        t3 = psi.reshape(d_y, d_sys, r).transpose(1, 0, 2)  # (S, y, s')
         u = sample_haar_unitary(rng, d_y)
-        rot = np.tensordot(t3, u.conj(), axes=([1], [0]))  # (S, s, y)
+        rot = np.tensordot(t3, u.conj(), axes=([1], [0]))  # (S, s', y)
         rot = np.ascontiguousarray(np.transpose(rot, (0, 2, 1)))
         a_y = np.ascontiguousarray(rot.transpose(1, 0, 2))
         grams, wts = kernels.conditional_dms(a_y)

@@ -353,6 +353,15 @@ class TestConditionOnRandomBasis:
         assert np.array_equal(got, expect)
         assert not np.any(np.isin(got, [0, 3]))
 
+    def test_draw_outcomes_one_generator_per_row(self):
+        w = np.random.default_rng(64).random((30, 6))
+        gens = [RandomStream(65, i).generator() for i in range(30)]
+        expect = [g.choice(6, p=row / row.sum()) for g, row in zip(gens, w)]
+        gens = [RandomStream(65, i).generator() for i in range(30)]
+        assert np.array_equal(draw_outcomes(gens, w), expect)
+        with pytest.raises(ValueError, match="generators"):
+            draw_outcomes(gens[:29], w)
+
     def _fixed_state(self):
         # Unequal singular values, so a sampler that ignores A shows.
         rng = np.random.default_rng(66)

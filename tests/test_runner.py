@@ -5,6 +5,7 @@ import glob
 import hashlib
 import json
 import os
+import platform
 
 import jsonschema
 import numpy as np
@@ -14,6 +15,7 @@ import yaml
 import gaplab
 from gaplab import parallel
 from gaplab.experiments import (
+    EXPERIMENTS,
     SurrogateConfig,
     run_gaussian_surrogate_concentration,
 )
@@ -201,7 +203,16 @@ class TestReportEnvelope:
             "parallelism",
             "package_version",
             "blas_threads",
+            "versions",
             "generated_at",
+        }
+
+    def test_volatile_records_library_versions(self, tiny_report):
+        versions = valid_envelope(tiny_report)["volatile"]["versions"]
+        assert versions == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "pyyaml": yaml.__version__,
         }
 
     def test_volatile_records_blas_threads(self, tiny_report, monkeypatch):
@@ -324,6 +335,38 @@ class TestCli:
         assert code == 2
         assert "config error" in err
         assert "min_shell_dim=100000" in err
+        assert not os.path.exists(out_dir)
+
+    def test_run_refuses_a_late_shell_before_any_trial(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The first traced dimension's shell (30,720 levels) clears the
+        # floor and the second's (7,680) does not: no trial of the first
+        # may run before the refusal.
+        name = "conditional_dm_concentration"
+        info = EXPERIMENTS[name]
+
+        def runner(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(info, runner=runner))
+        path = write_yaml(
+            tmp_path,
+            {
+                "experiment": name,
+                "config": {
+                    "dim_s_values": [256, 64],
+                    "n_trials": 2000,
+                    "min_shell_dim": 10_000,
+                },
+            },
+        )
+        out_dir = str(tmp_path / "out")
+        code, _, err = self.run_main(
+            ["run", "--config", path, "--out-dir", out_dir], capsys
+        )
+        assert code == 2
+        assert "min_shell_dim=10000" in err
         assert not os.path.exists(out_dir)
 
     def test_run_writes_three_files(self, tmp_path, capsys, monkeypatch):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from gaplab import parallel
 from gaplab.ensembles import RandomStream
-from gaplab.experiments import EXPERIMENTS
+from gaplab.experiments import EXPERIMENTS, ConditionalDmConfig, _conditional_dm_shell
 from gaplab.hilbert import trace_distance
 from gaplab.runner import load_run_config
 from gaplab.thermal import (
@@ -159,6 +160,19 @@ class TestCanonicalEnsemble:
     def test_mean_energy_at_beta_zero(self):
         h = flat_spec([0.0, 1.0, 5.0])
         assert abs(canonical_mean_energy(h, 0.0) - 2.0) < 1e-12
+
+    def test_mean_energy_bits_independent_of_blas_threads(self):
+        # The reference conditional-DM composite at d_s = 256 (32,768
+        # levels): a BLAS dot product over it rounds differently with one
+        # thread and with several, which would move match_beta's result
+        # with the machine's core count.
+        config = ConditionalDmConfig()
+        h = _conditional_dm_shell(config, 0, len(config.dim_s_values) - 1).h
+        betas = np.linspace(-0.5, 0.5, 200)
+        free = [canonical_mean_energy(h, b) for b in betas]
+        with parallel._one_blas_thread():
+            pinned = [canonical_mean_energy(h, b) for b in betas]
+        assert free == pinned
 
 
 class TestMatchBeta:
